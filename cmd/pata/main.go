@@ -136,7 +136,8 @@ func main() {
 	interrupted := ctx.Err() != nil
 	stop()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pata:", err)
+		// The library already prefixes its errors with "pata: ".
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if interrupted {

@@ -2,8 +2,10 @@ package acache
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -184,7 +186,7 @@ func TestUnlimitedNeverEvicts(t *testing.T) {
 	}
 	misses := 0
 	for i := 0; i < 50; i++ {
-		if _, ok := s.Load(string(rune('a' + i%26)) + string(rune('0' + i/26))); !ok {
+		if _, ok := s.Load(string(rune('a'+i%26)) + string(rune('0'+i/26))); !ok {
 			misses++
 		}
 	}
@@ -290,4 +292,45 @@ func TestFlushSyncsDirectory(t *testing.T) {
 	if err := s.Flush(); err == nil {
 		t.Fatal("Flush of a removed directory reported success")
 	}
+}
+
+// FuzzDecodeFrame feeds arbitrary bytes to the frame decoder: it must
+// reject them or return a payload that re-frames to the same bytes, never
+// panic, and allocate at most linearly in the input.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, p := range []string{"", "x", "hello capsule world", strings.Repeat("\x00\xff", 300)} {
+		frame := encodeFrame([]byte(p))
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var payload []byte
+		var ok bool
+		limit := 64*uint64(len(data)) + 16<<10
+		if n := allocBytes(func() { payload, ok = decodeFrame(data) }); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), n, limit)
+		}
+		if ok && !bytes.Equal(encodeFrame(payload), data) {
+			t.Fatalf("decoded frame re-encodes differently: %x", data)
+		}
+	})
+}
+
+// allocBytes returns the heap bytes fn allocates: the least of three
+// readings of the runtime's cumulative allocation counter, which can run
+// high when an allocation refills a span cache (runtime.ReadMemStats is
+// exact but stops the world, which stalls the fuzzing engine).
+func allocBytes(fn func()) uint64 {
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	read := func() int64 {
+		metrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+	least := int64(math.MaxInt64)
+	for try := 0; try < 3; try++ {
+		before := read()
+		fn()
+		least = min(least, max(read()-before, 0))
+	}
+	return uint64(least)
 }

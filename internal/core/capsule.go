@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/cir"
 	"repro/internal/hmix"
@@ -26,8 +26,9 @@ type EntryCache interface {
 // capsuleVersion is folded into analysisSalt, so bumping it invalidates
 // every cached capsule and verdict at once. Bump it whenever the capsule
 // layout, the Stats replayed from it, or the engine's exploration semantics
-// change in a way old capsules cannot represent.
-const capsuleVersion = 2
+// change in a way old capsules cannot represent — including any change to
+// the byte layout the wire codec at the end of this file writes.
+const capsuleVersion = 3
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -300,11 +301,7 @@ func encodeCapsule(res *Result) ([]byte, bool) {
 		}
 		cap0.Cands = append(cap0.Cands, c)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&cap0); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
+	return marshalCapsule(&cap0), true
 }
 
 // ---- decoding ----
@@ -403,13 +400,13 @@ func checkersByName(cfg Config) map[string]typestate.Checker {
 }
 
 // decodeCapsule rebuilds one entry's Result against the fresh module.
-// ok=false — an unresolvable ref, an unknown checker, malformed gob —
+// ok=false — an unresolvable ref, an unknown checker, malformed bytes —
 // means the caller treats the capsule as a miss and re-analyzes the entry.
 // The replayed Stats carry the stored exploration counters plus the cache
 // accounting: one entry hit, with every stored executed step skipped.
 func decodeCapsule(data []byte, mod *cir.Module, checkers map[string]typestate.Checker) (*Result, bool) {
-	var cap0 entryCapsule
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cap0); err != nil {
+	cap0, ok := unmarshalCapsule(data)
+	if !ok {
 		return nil, false
 	}
 	r := resolver{mod: mod}
@@ -517,23 +514,18 @@ func verdictKey(salt uint64, pb *PossibleBug, mode Mode) (string, bool) {
 	return fmt.Sprintf("v%016x", h), true
 }
 
-func encodeVerdict(out ValidationOutcome) ([]byte, bool) {
-	v := verdictC{
+func encodeVerdict(out ValidationOutcome) []byte {
+	return marshalVerdict(&verdictC{
 		Feasible:           out.Feasible,
 		Constraints:        out.Constraints,
 		ConstraintsUnaware: out.ConstraintsUnaware,
 		Trigger:            out.Trigger,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
+	})
 }
 
 func decodeVerdict(data []byte) (ValidationOutcome, bool) {
-	var v verdictC
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
+	v, ok := unmarshalVerdict(data)
+	if !ok {
 		return ValidationOutcome{}, false
 	}
 	return ValidationOutcome{
@@ -542,4 +534,368 @@ func decodeVerdict(data []byte) (ValidationOutcome, bool) {
 		ConstraintsUnaware: v.ConstraintsUnaware,
 		Trigger:            v.Trigger,
 	}, true
+}
+
+// ---- wire codec ----
+//
+// Capsules and verdicts use a small hand-written binary layout instead of
+// gob: every capsule is its own stream, and gob re-compiles its type
+// decoders for each one, which made decoding dominate a warm replay. The
+// layout, with integers as zigzag varints, counts and string lengths as
+// unsigned varints, strings as raw bytes, and bools as one byte 0 or 1:
+//
+//	capsule = stats ncand cand...
+//	stats   = every Stats field, in walkStats order
+//	cand    = checker entryFn inFn category bug hasOrigin [origin]
+//	          path nalt path... hasExtra [extra] nalias alias...
+//	path    = nstep (ref taken)...
+//	ref     = fn blk idx
+//	extra   = kind val isNull str isStr regFn regID name pred bound
+//	verdict = feasible constraints constraintsUnaware ntrigger trigger...
+//
+// Any change to this layout must bump capsuleVersion. The decoder is strict:
+// it accepts exactly the byte strings the encoder can produce (minimal
+// varints, bools 0 or 1, no trailing bytes), rejects truncated input and
+// counts the remaining bytes cannot hold, and never panics.
+
+// walkStats calls f with a pointer to every Stats field, in wire order.
+// f handles *int, *int64 and *time.Duration; TestStatsCodecCoversEveryField
+// fails when a Stats field is missing here.
+func walkStats(s *Stats, f func(field any)) {
+	f(&s.EntryFunctions)
+	f(&s.PathsExplored)
+	f(&s.StepsExecuted)
+	f(&s.Budgeted)
+	f(&s.Typestates)
+	f(&s.TypestatesUnaware)
+	f(&s.PrunedBranches)
+	f(&s.MemoHits)
+	f(&s.MemoPathsSkipped)
+	f(&s.MemoStepsSkipped)
+	f(&s.SummaryHits)
+	f(&s.SummaryPathsReplayed)
+	f(&s.SummaryStepsReplayed)
+	f(&s.PossibleBugs)
+	f(&s.RepeatedDropped)
+	f(&s.FalseDropped)
+	f(&s.Constraints)
+	f(&s.ConstraintsUnaware)
+	f(&s.ValidationCacheHits)
+	f(&s.ValidationCacheMisses)
+	f(&s.ValidationCacheEvictions)
+	f(&s.BatchedSolves)
+	f(&s.BatchFallbacks)
+	f(&s.PrefixAtomsShared)
+	f(&s.BackendDisagreements)
+	f(&s.CacheEntriesHit)
+	f(&s.CacheEntriesMiss)
+	f(&s.CacheStepsSkipped)
+	f(&s.WorkSteals)
+	f(&s.DeadlineTrips)
+	f(&s.PanicsContained)
+	f(&s.EntriesRetried)
+	f(&s.EntriesDegraded)
+	f(&s.AdaptiveEntriesLight)
+	f(&s.AdaptiveLayersOff)
+	f(&s.CanonNanos)
+	f(&s.CursorNanos)
+	f(&s.SolverNanos)
+	f(&s.AnalysisTime)
+	f(&s.ValidationTime)
+}
+
+type wireWriter struct{ buf []byte }
+
+func (w *wireWriter) uint(x uint64) { w.buf = binary.AppendUvarint(w.buf, x) }
+func (w *wireWriter) int(x int64)   { w.buf = binary.AppendVarint(w.buf, x) }
+
+func (w *wireWriter) bool(b bool) {
+	if b {
+		w.buf = append(w.buf, 1)
+	} else {
+		w.buf = append(w.buf, 0)
+	}
+}
+
+func (w *wireWriter) str(s string) {
+	w.uint(uint64(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
+func (w *wireWriter) strs(ss []string) {
+	w.uint(uint64(len(ss)))
+	for _, s := range ss {
+		w.str(s)
+	}
+}
+
+func (w *wireWriter) stats(s *Stats) {
+	walkStats(s, func(field any) {
+		switch p := field.(type) {
+		case *int:
+			w.int(int64(*p))
+		case *int64:
+			w.int(*p)
+		case *time.Duration:
+			w.int(int64(*p))
+		default:
+			panic(fmt.Sprintf("core: Stats field of unsupported type %T", field))
+		}
+	})
+}
+
+func (w *wireWriter) ref(r instrRef) {
+	w.str(r.Fn)
+	w.int(int64(r.Blk))
+	w.int(int64(r.Idx))
+}
+
+func (w *wireWriter) path(p []stepC) {
+	w.uint(uint64(len(p)))
+	for _, st := range p {
+		w.ref(st.Ref)
+		w.bool(st.Taken)
+	}
+}
+
+func (w *wireWriter) cand(c *candC) {
+	w.str(c.Checker)
+	w.str(c.EntryFn)
+	w.str(c.InFn)
+	w.str(c.Category)
+	w.ref(c.Bug)
+	w.bool(c.HasOrigin)
+	if c.HasOrigin {
+		w.ref(c.Origin)
+	}
+	w.path(c.Path)
+	w.uint(uint64(len(c.Alts)))
+	for _, alt := range c.Alts {
+		w.path(alt)
+	}
+	w.bool(c.Extra != nil)
+	if ex := c.Extra; ex != nil {
+		w.int(int64(ex.Kind))
+		w.int(ex.Val)
+		w.bool(ex.IsNull)
+		w.str(ex.Str)
+		w.bool(ex.IsStr)
+		w.str(ex.RegFn)
+		w.int(int64(ex.RegID))
+		w.str(ex.Name)
+		w.str(ex.Pred)
+		w.int(ex.Bound)
+	}
+	w.strs(c.AliasSet)
+}
+
+func marshalCapsule(c *entryCapsule) []byte {
+	w := wireWriter{buf: make([]byte, 0, 128)}
+	w.stats(&c.Stats)
+	w.uint(uint64(len(c.Cands)))
+	for i := range c.Cands {
+		w.cand(&c.Cands[i])
+	}
+	return w.buf
+}
+
+func marshalVerdict(v *verdictC) []byte {
+	var w wireWriter
+	w.bool(v.Feasible)
+	w.int(v.Constraints)
+	w.int(v.ConstraintsUnaware)
+	w.strs(v.Trigger)
+	return w.buf
+}
+
+// wireReader decodes the layout above. The first malformation sets bad;
+// every later read then returns a zero value, so decoders read straight
+// through and check bad once at the end.
+type wireReader struct {
+	buf []byte
+	bad bool
+}
+
+func (r *wireReader) uint() uint64 {
+	if r.bad {
+		return 0
+	}
+	x, n := binary.Uvarint(r.buf)
+	// n <= 0 is truncation or overflow; a final zero byte after the first
+	// is a non-minimal encoding the writer never produces.
+	if n <= 0 || (n > 1 && r.buf[n-1] == 0) {
+		r.bad = true
+		return 0
+	}
+	r.buf = r.buf[n:]
+	return x
+}
+
+func (r *wireReader) int64() int64 {
+	u := r.uint()
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+func (r *wireReader) int() int {
+	x := r.int64()
+	if int64(int(x)) != x {
+		r.bad = true
+		return 0
+	}
+	return int(x)
+}
+
+func (r *wireReader) bool() bool {
+	if r.bad || len(r.buf) == 0 || r.buf[0] > 1 {
+		r.bad = true
+		return false
+	}
+	b := r.buf[0] == 1
+	r.buf = r.buf[1:]
+	return b
+}
+
+// count reads the length of a sequence whose elements each take at least
+// minSize encoded bytes, rejecting any length the rest of the input cannot
+// hold: a hostile prefix never makes the decoder allocate more than a
+// constant factor of the input length.
+func (r *wireReader) count(minSize int) int {
+	n := r.uint()
+	if r.bad || n > uint64(len(r.buf)/minSize) {
+		r.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+func (r *wireReader) str() string {
+	n := r.count(1)
+	if n == 0 {
+		return ""
+	}
+	s := string(r.buf[:n])
+	r.buf = r.buf[n:]
+	return s
+}
+
+func (r *wireReader) strs() []string {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.str()
+	}
+	return out
+}
+
+func (r *wireReader) stats(s *Stats) {
+	walkStats(s, func(field any) {
+		switch p := field.(type) {
+		case *int:
+			*p = r.int()
+		case *int64:
+			*p = r.int64()
+		case *time.Duration:
+			*p = time.Duration(r.int64())
+		default:
+			panic(fmt.Sprintf("core: Stats field of unsupported type %T", field))
+		}
+	})
+}
+
+func (r *wireReader) ref() instrRef {
+	return instrRef{Fn: r.str(), Blk: r.int(), Idx: r.int()}
+}
+
+// minStepBytes is the smallest encoded step: an empty function name's
+// length byte, one-byte block and instruction indices, and the taken bool.
+const minStepBytes = 4
+
+func (r *wireReader) path() []stepC {
+	n := r.count(minStepBytes)
+	if n == 0 {
+		return nil
+	}
+	out := make([]stepC, n)
+	for i := range out {
+		out[i] = stepC{Ref: r.ref(), Taken: r.bool()}
+	}
+	return out
+}
+
+// minCandBytes is the smallest encoded candidate: four empty strings, a
+// three-byte bug ref, hasOrigin, two zero counts, hasExtra and a zero
+// alias count.
+const minCandBytes = 4 + 3 + 1 + 2 + 1 + 1
+
+func (r *wireReader) cand(c *candC) {
+	c.Checker = r.str()
+	c.EntryFn = r.str()
+	c.InFn = r.str()
+	c.Category = r.str()
+	c.Bug = r.ref()
+	if c.HasOrigin = r.bool(); c.HasOrigin {
+		c.Origin = r.ref()
+	}
+	c.Path = r.path()
+	if n := r.count(1); n > 0 {
+		c.Alts = make([][]stepC, n)
+		for i := range c.Alts {
+			c.Alts[i] = r.path()
+		}
+	}
+	if r.bool() {
+		c.Extra = &extraC{
+			Kind:   r.int(),
+			Val:    r.int64(),
+			IsNull: r.bool(),
+			Str:    r.str(),
+			IsStr:  r.bool(),
+			RegFn:  r.str(),
+			RegID:  r.int(),
+			Name:   r.str(),
+			Pred:   r.str(),
+			Bound:  r.int64(),
+		}
+	}
+	c.AliasSet = r.strs()
+}
+
+// unmarshalCapsule is marshalCapsule's strict inverse; ok=false on any
+// malformed, truncated or over-long input.
+func unmarshalCapsule(data []byte) (entryCapsule, bool) {
+	r := wireReader{buf: data}
+	var c entryCapsule
+	r.stats(&c.Stats)
+	if n := r.count(minCandBytes); n > 0 {
+		c.Cands = make([]candC, n)
+		for i := range c.Cands {
+			r.cand(&c.Cands[i])
+		}
+	}
+	if r.bad || len(r.buf) != 0 {
+		return entryCapsule{}, false
+	}
+	return c, true
+}
+
+// unmarshalVerdict is marshalVerdict's strict inverse.
+func unmarshalVerdict(data []byte) (verdictC, bool) {
+	r := wireReader{buf: data}
+	v := verdictC{
+		Feasible:           r.bool(),
+		Constraints:        r.int64(),
+		ConstraintsUnaware: r.int64(),
+		Trigger:            r.strs(),
+	}
+	if r.bad || len(r.buf) != 0 {
+		return verdictC{}, false
+	}
+	return v, true
 }

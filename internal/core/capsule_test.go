@@ -36,7 +36,7 @@ static int entry_clean(int a) {
 }
 `
 
-func lowerCapsuleSrc(t *testing.T) *cir.Module {
+func lowerCapsuleSrc(t testing.TB) *cir.Module {
 	t.Helper()
 	mod, err := minicc.LowerAll("capsule", map[string]string{"capsule.c": capsuleSrc})
 	if err != nil {

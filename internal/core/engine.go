@@ -355,8 +355,8 @@ type Stats struct {
 	// its recorded exploration counters) without re-running the DFS;
 	// CacheStepsSkipped accumulates the StepsExecuted those hits avoided.
 	// All three are zero when Config.Cache is nil.
-	CacheEntriesHit  int64
-	CacheEntriesMiss int64
+	CacheEntriesHit   int64
+	CacheEntriesMiss  int64
 	CacheStepsSkipped int64
 	// WorkSteals counts Stage-1 tasks a worker claimed from another
 	// worker's queue (RunParallel's work-stealing scheduler; zero for
@@ -388,11 +388,11 @@ type Stats struct {
 	// incremental feasibility cursor's branch/replay consults, SolverNanos
 	// the Stage-2 validation calls. Wall-clock measurements: nondeterministic
 	// across runs, excluded from every equivalence comparison.
-	CanonNanos  int64
-	CursorNanos int64
-	SolverNanos int64
-	AnalysisTime    time.Duration
-	ValidationTime  time.Duration
+	CanonNanos     int64
+	CursorNanos    int64
+	SolverNanos    int64
+	AnalysisTime   time.Duration
+	ValidationTime time.Duration
 }
 
 // addValidation folds one validation outcome's counters into the stats.

@@ -526,9 +526,7 @@ func RunParallelCtx(ctx context.Context, mod *cir.Module, cfg Config, workers in
 					// An interrupted or panicked verdict is conservative,
 					// not proven; persisting it would freeze a guess.
 					if keyed && !rec.out.TimedOut && !rec.out.Panicked {
-						if data, ok := encodeVerdict(rec.out); ok {
-							cache.Save(key, data)
-						}
+						cache.Save(key, encodeVerdict(rec.out))
 					}
 				}
 			}()

@@ -135,6 +135,32 @@ func TestInvalidateFrontier(t *testing.T) {
 	}
 }
 
+// TestInvalidateDiffsAgainstPublishedEpoch pins that each invalidation
+// diffs against the keys published by the one before it: after beta's
+// edit lands, an edit of alpha alone has frontier [alpha], and the status
+// entry count follows the published epoch.
+func TestInvalidateDiffsAgainstPublishedEpoch(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	editedBeta := strings.Replace(srcBeta, "x > 0", "x > 1", 1)
+	if inv := srv.invalidate(&Request{Op: OpInvalidate, Sources: map[string]string{"b.c": editedBeta}}); !inv.OK ||
+		strings.Join(inv.Frontier, ",") != "beta" {
+		t.Fatalf("beta edit: %+v", inv)
+	}
+	editedAlpha := strings.Replace(srcAlpha, "return 0;", "return 2;", 1)
+	if inv := srv.invalidate(&Request{Op: OpInvalidate, Sources: map[string]string{"a.c": editedAlpha}}); !inv.OK ||
+		strings.Join(inv.Frontier, ",") != "alpha" {
+		t.Fatalf("alpha edit after beta edit: %+v", inv)
+	}
+	gamma := "int gamma(int y) { return y; }"
+	if inv := srv.invalidate(&Request{Op: OpInvalidate, Sources: map[string]string{"c.c": gamma}}); !inv.OK ||
+		strings.Join(inv.Frontier, ",") != "gamma" {
+		t.Fatalf("added gamma: %+v", inv)
+	}
+	if st := srv.status(&Request{Op: OpStatus}).Status; st.Entries != 3 || st.Files != 3 {
+		t.Errorf("status after adding gamma: %+v, want 3 entries in 3 files", st)
+	}
+}
+
 func TestInvalidateNoOpAndRemove(t *testing.T) {
 	srv := newTestServer(t, Options{})
 	// Same content: nothing changes, everything stays warm.

@@ -66,10 +66,13 @@ type Server struct {
 	// pointer and run on it unlocked (modules are immutable once
 	// published, fingerprints pre-warmed); invalidations build and publish
 	// a fresh one. In-flight analyses on the old epoch finish undisturbed.
-	modMu      sync.Mutex
-	sources    map[string]string
-	mod        *cir.Module
-	entryCount int
+	// entryKeys maps each of mod's entry functions to its salt-0
+	// callgraph.EntryKey; the next invalidation diffs against it, so it
+	// builds one call graph and computes one set of keys.
+	modMu     sync.Mutex
+	sources   map[string]string
+	mod       *cir.Module
+	entryKeys map[string]uint64
 
 	served atomic.Int64
 
@@ -154,20 +157,31 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("patad: frontend: %w", err)
 	}
-	s.sources = cloneSources(opts.Sources)
-	s.publish(mod)
+	s.publish(cloneSources(opts.Sources), mod, entryKeys(callgraph.Build(mod)))
 	return s, nil
 }
 
-// publish installs a new module epoch. Callers pass a module whose
-// fingerprints are already warmed (lowerAndFingerprint).
-func (s *Server) publish(mod *cir.Module) {
-	cg := callgraph.Build(mod)
-	n := len(cg.EntryFunctions())
+// publish installs a new module epoch: its sources, its module (whose
+// fingerprints lowerAndFingerprint already warmed) and its entry keys.
+func (s *Server) publish(sources map[string]string, mod *cir.Module, keys map[string]uint64) {
 	s.modMu.Lock()
+	s.sources = sources
 	s.mod = mod
-	s.entryCount = n
+	s.entryKeys = keys
 	s.modMu.Unlock()
+}
+
+// entryKeys computes the salt-0 callgraph.EntryKey of every entry function
+// of cg, by name. Salt 0 suffices for diffing two epochs: both sides share
+// whatever configuration salt the real cache keys carry, so it cancels out
+// of the comparison.
+func entryKeys(cg *callgraph.Graph) map[string]uint64 {
+	entries := cg.EntryFunctions()
+	keys := make(map[string]uint64, len(entries))
+	for _, fn := range entries {
+		keys[fn.Name] = cg.EntryKey(fn, 0)
+	}
+	return keys
 }
 
 // snapshot returns the current module epoch.
@@ -496,7 +510,7 @@ func (s *Server) invalidate(req *Request) *Response {
 	resp := &Response{ID: req.ID, Op: req.Op}
 
 	s.modMu.Lock()
-	oldMod := s.mod
+	oldMod, oldKeys := s.mod, s.entryKeys
 	next := cloneSources(s.sources)
 	s.modMu.Unlock()
 
@@ -552,25 +566,18 @@ func (s *Server) invalidate(req *Request) *Response {
 
 	// Frontier = entry functions whose transitive content key changed —
 	// computed with the same callgraph.EntryKey the incremental cache
-	// uses (salt 0: both sides share whatever configuration salt the real
-	// keys carry, so it cancels out of the comparison). This is exactly
-	// the set the next analyze re-runs; everything else replays warm.
-	oldCG, newCG := callgraph.Build(oldMod), callgraph.Build(mod)
-	oldKeys := make(map[string]uint64)
-	for _, fn := range oldCG.EntryFunctions() {
-		oldKeys[fn.Name] = oldCG.EntryKey(fn, 0)
-	}
+	// uses. This is exactly the set the next analyze re-runs; everything
+	// else replays warm.
+	newCG := callgraph.Build(mod)
+	newKeys := entryKeys(newCG)
 	var frontier []string
 	for _, fn := range newCG.EntryFunctions() {
-		if key, ok := oldKeys[fn.Name]; !ok || key != newCG.EntryKey(fn, 0) {
+		if key, ok := oldKeys[fn.Name]; !ok || key != newKeys[fn.Name] {
 			frontier = append(frontier, fn.Name)
 		}
 	}
 
-	s.modMu.Lock()
-	s.sources = next
-	s.modMu.Unlock()
-	s.publish(mod)
+	s.publish(next, mod, newKeys)
 
 	resp.OK = true
 	resp.Changed = sortedNames(changed)
@@ -591,7 +598,7 @@ func sortedNames(set map[string]bool) []string {
 // status builds the OpStatus payload.
 func (s *Server) status(req *Request) *Response {
 	s.modMu.Lock()
-	files, entries := len(s.sources), s.entryCount
+	files, entries := len(s.sources), len(s.entryKeys)
 	s.modMu.Unlock()
 	return &Response{ID: req.ID, Op: req.Op, OK: true, Status: &StatusInfo{
 		InFlight: s.adm.inFlight(),

@@ -255,7 +255,7 @@ func (c Config) engineConfig() (core.Config, error) {
 		if c.ValidateBackend != "" {
 			be, err := pathval.BackendFromSpec(c.ValidateBackend)
 			if err != nil {
-				return core.Config{}, err
+				return core.Config{}, fmt.Errorf("pata: %w", err)
 			}
 			v.Backend = be
 		}
