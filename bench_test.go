@@ -381,78 +381,6 @@ func BenchmarkValidatorCache(b *testing.B) {
 	})
 }
 
-// BenchmarkPruningAblation compares Stage-1 cost with the on-the-fly
-// pruning layers (incremental feasibility cursor + (block, state)
-// memoization, the defaults) against the unpruned engine on the linux-like
-// corpus. The found-bug set is identical in both variants
-// (TestPruningEquivalence); only explored paths and wall-clock differ.
-func BenchmarkPruningAblation(b *testing.B) {
-	c := oscorpus.Generate(oscorpus.LinuxSpec())
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("defaults", func(b *testing.B) {
-		var paths int64
-		for i := 0; i < b.N; i++ {
-			res := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
-			paths = res.Stats.PathsExplored
-		}
-		b.ReportMetric(float64(paths), "paths")
-	})
-	b.Run("no-prune-no-memo", func(b *testing.B) {
-		var paths int64
-		for i := 0; i < b.N; i++ {
-			res := core.NewEngine(mod, core.Config{
-				Checkers: typestate.CoreCheckers(), NoPrune: true, NoMemo: true,
-			}).Run()
-			paths = res.Stats.PathsExplored
-		}
-		b.ReportMetric(float64(paths), "paths")
-	})
-}
-
-// BenchmarkSummaryAblation compares Stage-1 cost with the interprocedural
-// callee summaries (the default) against the summary-free engine on the
-// helper-heavy corpus, whose clustered helper calls are the workload the
-// summary cache targets. The found-bug set is identical in both variants
-// (TestSummaryEquivalence); only executed steps and wall-clock differ.
-func BenchmarkSummaryAblation(b *testing.B) {
-	c := oscorpus.Generate(oscorpus.HelperHeavySpec())
-	mod, err := minicc.LowerAll(c.Spec.Name, c.Sources)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("defaults", func(b *testing.B) {
-		var steps int64
-		for i := 0; i < b.N; i++ {
-			res := core.NewEngine(mod, core.Config{Checkers: typestate.CoreCheckers()}).Run()
-			steps = res.Stats.StepsExecuted
-		}
-		b.ReportMetric(float64(steps), "steps")
-	})
-	b.Run("no-summaries", func(b *testing.B) {
-		var steps int64
-		for i := 0; i < b.N; i++ {
-			res := core.NewEngine(mod, core.Config{
-				Checkers: typestate.CoreCheckers(), NoSummaries: true,
-			}).Run()
-			steps = res.Stats.StepsExecuted
-		}
-		b.ReportMetric(float64(steps), "steps")
-	})
-}
-
-// BenchmarkBenchPipeline regenerates the BENCH_pipeline.json grid (all
-// corpora × workers {1,4} × engine variant) without writing the file.
-func BenchmarkBenchPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.BenchPipeline(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExtensions regenerates the repo-extension experiment (UAF + API
 // pairing checkers).
 func BenchmarkExtensions(b *testing.B) {

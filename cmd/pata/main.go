@@ -12,10 +12,6 @@
 //	-dir DIR               analyze every .c file under DIR
 //	-no-alias              run the PATA-NA alias-unaware variant (§5.4)
 //	-no-validate           skip Stage-2 SMT path validation
-//	-no-prune              disable Stage-1 infeasible-branch pruning
-//	-no-memo               disable Stage-1 (block, state) memoization
-//	-no-summaries          disable Stage-1 interprocedural callee summaries
-//	-no-adaptive           disable the per-entry adaptive cost model
 //	-no-batch-validate     disable batched prefix-sharing Stage-2 validation
 //	-validate-backend B    Stage-2 solver backend: builtin, smtlib2, or smtlib2:CMD
 //	-max-conts N           callee continuations per call (P2 cap; negative = unlimited)
@@ -58,10 +54,6 @@ func main() {
 	dir := flag.String("dir", "", "analyze every .c file under this directory")
 	noAlias := flag.Bool("no-alias", false, "disable alias analysis (PATA-NA)")
 	noValidate := flag.Bool("no-validate", false, "skip SMT path validation")
-	noPrune := flag.Bool("no-prune", false, "disable Stage-1 on-the-fly infeasible-branch pruning")
-	noMemo := flag.Bool("no-memo", false, "disable Stage-1 (block, state) subtree memoization")
-	noSummaries := flag.Bool("no-summaries", false, "disable Stage-1 interprocedural callee summaries")
-	noAdaptive := flag.Bool("no-adaptive", false, "disable the per-entry adaptive cost model (always run the full layer stack)")
 	noBatchValidate := flag.Bool("no-batch-validate", false, "disable batched prefix-sharing Stage-2 validation (solve every candidate from scratch)")
 	validateBackend := flag.String("validate-backend", "", "Stage-2 solver backend: builtin (default), smtlib2, or smtlib2:CMD ARGS to cross-check against an external SMT-LIB2 solver")
 	maxConts := flag.Int("max-conts", 0, "callee continuations per call: the P2 cap (0 = default 2, negative = unlimited)")
@@ -85,10 +77,6 @@ func main() {
 	cfg := pata.Config{
 		NoAlias:                 *noAlias,
 		SkipValidation:          *noValidate,
-		NoPrune:                 *noPrune,
-		NoMemo:                  *noMemo,
-		NoSummaries:             *noSummaries,
-		NoAdaptive:              *noAdaptive,
 		MaxContinuationsPerCall: *maxConts,
 		LoopUnroll:              *unroll,
 		Workers:                 *workers,

@@ -3,12 +3,10 @@
 //
 // Usage:
 //
-//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|cases|fsm|pruning|summaries|degrade|daemon|all
-//	patabench -exp bench [-bench-out BENCH_pipeline.json]
+//	patabench -exp table4|table5|table6|table7|table8|fig11|fpaudit|cases|fsm|degrade|daemon|all
 //	patabench -exp incremental [-incremental-out BENCH_incremental.json]
 //	patabench -exp validate [-validate-out BENCH_validate.json]
 //	patabench -exp scaling [-scaling-out BENCH_scaling.json]
-//	patabench -exp smoke
 //	patabench -exp validate-smoke
 //	patabench -exp scaling-smoke
 //
@@ -31,8 +29,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, pruning, summaries, degrade, daemon, bench, incremental, validate, scaling, or all")
-	benchOut := flag.String("bench-out", "BENCH_pipeline.json", "output path for -exp bench")
+	which := flag.String("exp", "all", "experiment: table4, table5, table6, table7, table8, fig11, fpaudit, extensions, cases, fsm, degrade, daemon, incremental, validate, scaling, or all")
 	incOut := flag.String("incremental-out", "BENCH_incremental.json", "output path for -exp incremental")
 	valOut := flag.String("validate-out", "BENCH_validate.json", "output path for -exp validate")
 	scalingOut := flag.String("scaling-out", "BENCH_scaling.json", "output path for -exp scaling")
@@ -101,18 +98,11 @@ func main() {
 	run("fpaudit", func() error { _, err := exp.FPAudit(os.Stdout); return err })
 	run("extensions", func() error { _, err := exp.Extensions(os.Stdout); return err })
 	run("cases", func() error { _, err := exp.Cases(os.Stdout); return err })
-	run("pruning", func() error { _, err := exp.PruningTable(os.Stdout); return err })
-	run("summaries", func() error { _, err := exp.SummaryTable(os.Stdout); return err })
 	run("degrade", func() error { _, err := exp.DegradeTable(os.Stdout); return err })
 	run("daemon", func() error { _, err := exp.DaemonTable(os.Stdout); return err })
 
-	// bench, incremental, validate and scaling write BENCH_*.json files, so
-	// they only run when asked for explicitly, never under -exp all.
-	if *which == "bench" {
-		if err := exp.WriteBenchJSON(os.Stdout, *benchOut); err != nil {
-			fail("bench", err)
-		}
-	}
+	// incremental, validate and scaling write BENCH_*.json files, so they
+	// only run when asked for explicitly, never under -exp all.
 	if *which == "incremental" {
 		if err := exp.WriteIncrementalJSON(os.Stdout, *incOut); err != nil {
 			fail("incremental", err)
@@ -126,13 +116,6 @@ func main() {
 	if *which == "scaling" {
 		if err := exp.WriteScalingJSON(os.Stdout, *scalingOut); err != nil {
 			fail("scaling", err)
-		}
-	}
-	// smoke is the CI wall-clock gate for the adaptive cost model; it runs
-	// only when selected so -exp all stays timing-independent.
-	if *which == "smoke" {
-		if err := exp.BenchSmoke(os.Stdout); err != nil {
-			fail("smoke", err)
 		}
 	}
 	// validate-smoke is the CI gate for batched Stage-2 validation: byte-

@@ -28,7 +28,7 @@ type EntryCache interface {
 // layout, the Stats replayed from it, or the engine's exploration semantics
 // change in a way old capsules cannot represent — including any change to
 // the byte layout the wire codec at the end of this file writes.
-const capsuleVersion = 3
+const capsuleVersion = 4
 
 // analysisSalt digests everything outside the function bodies that the
 // analysis result can depend on: the capsule format version, the mode,
@@ -48,7 +48,6 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	h = hmix.Mix3(h,
 		uint64(int64(c.MaxContinuationsPerCall)),
 		uint64(int64(c.LoopUnroll)))
-	h = hmix.Mix4(h, boolBit(c.NoPrune), boolBit(c.NoMemo), boolBit(c.NoSummaries))
 	h = hmix.Mix2(h, boolBit(c.Validate && c.ValidatePath != nil))
 	// The Stage-2 backend IS salted: an external solver may refute systems
 	// the builtin cannot, so verdicts persisted under one backend must not
@@ -58,13 +57,9 @@ func (c Config) analysisSalt(mod *cir.Module) uint64 {
 	// EntryTimeout/RunTimeout/MaxRetries deliberately are not — degraded
 	// entries are simply never persisted, so timing knobs cannot poison
 	// the cache and changing them must not invalidate healthy capsules.
-	// NoAdaptive/AdaptiveProbe/CanonFull are likewise excluded: the
-	// adaptive cost model and the digest cache only re-schedule work, and
-	// every layer combination they select is report-preserving, so the
-	// persisted candidates are identical under every setting.
-	// NoBatchValidate is excluded for the same reason: batching only
-	// re-schedules Stage-2 solves, and batched reports are byte-identical
-	// to per-candidate ones.
+	// NoBatchValidate is likewise excluded: batching only re-schedules
+	// Stage-2 solves, and batched reports are byte-identical to
+	// per-candidate ones.
 	h = hmix.Mix2(h, boolBit(c.FaultHook != nil))
 	h = hmix.Mix2(h, uint64(len(c.Checkers)))
 	for _, chk := range c.Checkers {
@@ -207,9 +202,9 @@ func (t *refTable) stepsOf(path []PathStep) ([]stepC, bool) {
 }
 
 // originInstr finds the candidate's origin instruction on one of its
-// witness paths. Soundness note: memo and summary canonical digests include
-// the tracked object's __origin prop, so a replayed emission's origin is
-// always reachable on the grafted path — the search failing means the
+// witness paths. The DFS sets the tracked object's __origin prop while
+// executing an instruction on the current path and rolls it back with that
+// path, so the origin lies on the witness — the search failing means the
 // candidate isn't capsule-representable, and the caller skips caching.
 func originInstr(pb *PossibleBug) (cir.Instr, bool) {
 	if pb.OriginGID == 0 {
@@ -570,11 +565,7 @@ func walkStats(s *Stats, f func(field any)) {
 	f(&s.TypestatesUnaware)
 	f(&s.PrunedBranches)
 	f(&s.MemoHits)
-	f(&s.MemoPathsSkipped)
-	f(&s.MemoStepsSkipped)
 	f(&s.SummaryHits)
-	f(&s.SummaryPathsReplayed)
-	f(&s.SummaryStepsReplayed)
 	f(&s.PossibleBugs)
 	f(&s.RepeatedDropped)
 	f(&s.FalseDropped)
@@ -596,7 +587,6 @@ func walkStats(s *Stats, f func(field any)) {
 	f(&s.EntriesRetried)
 	f(&s.EntriesDegraded)
 	f(&s.AdaptiveEntriesLight)
-	f(&s.AdaptiveLayersOff)
 	f(&s.CanonNanos)
 	f(&s.CursorNanos)
 	f(&s.SolverNanos)

@@ -68,9 +68,6 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 		{"MaxStepsPerEntry", func(c Config) Config { c.MaxStepsPerEntry = 5000; return c }},
 		{"MaxContinuationsPerCall", func(c Config) Config { c.MaxContinuationsPerCall = 7; return c }},
 		{"LoopUnroll", func(c Config) Config { c.LoopUnroll = 2; return c }},
-		{"NoPrune", func(c Config) Config { c.NoPrune = true; return c }},
-		{"NoMemo", func(c Config) Config { c.NoMemo = true; return c }},
-		{"NoSummaries", func(c Config) Config { c.NoSummaries = true; return c }},
 		{"Validate", func(c Config) Config { c.Validate = false; return c }},
 		{"Checkers", func(c Config) Config {
 			c.Checkers = append(typestate.CoreCheckers(), typestate.NewDBZ())
@@ -126,17 +123,6 @@ func TestAnalysisSaltInvalidation(t *testing.T) {
 	if salt(irr) != s0 {
 		t.Error("EntryTimeout/RunTimeout/MaxRetries changed the salt")
 	}
-	// The adaptive cost model and the canon digest cache only re-schedule
-	// work — every layer combination they select is report-preserving — so
-	// their knobs must not invalidate healthy capsules either.
-	irr = base
-	irr.NoAdaptive = true
-	irr.AdaptiveProbe = 64
-	irr.CanonFull = true
-	if salt(irr) != s0 {
-		t.Error("NoAdaptive/AdaptiveProbe/CanonFull changed the salt")
-	}
-
 	// A new global invalidates.
 	mod2 := lowerCapsuleSrc(t)
 	mod2.AddGlobal("extra_global", cir.I32)

@@ -15,8 +15,6 @@ import (
 	"repro/internal/aliasgraph"
 	"repro/internal/callgraph"
 	"repro/internal/cir"
-	"repro/internal/hmix"
-	"repro/internal/smt"
 	"repro/internal/typestate"
 )
 
@@ -65,49 +63,6 @@ type Config struct {
 	// bugs whose trigger needs several iterations become reachable, at a
 	// path-count cost.
 	LoopUnroll int
-	// NoPrune disables the on-the-fly feasibility pruning: by default the
-	// Stage-1 DFS carries an incremental constraint cursor and skips a
-	// branch subtree as soon as the accumulated path condition becomes
-	// provably unsatisfiable. Pruning only discards paths Stage-2
-	// validation would reject, so the post-validation bug set is
-	// unaffected. Active only in ModePATA and when Trace is nil.
-	NoPrune bool
-	// NoMemo disables the (block, state) memoization: by default the DFS
-	// fingerprints the alias graph, the typestate tracker, the pending
-	// path constraints, and the call stack at every basic-block entry,
-	// and skips subtrees whose configuration repeats an already fully
-	// explored, emission-free one. Active only in ModePATA and when
-	// Trace is nil.
-	NoMemo bool
-	// NoSummaries disables the interprocedural summary cache: by default
-	// the DFS records, per (callee, observable entry state, loop context,
-	// depth) activation, the callee's per-continuation effects — alias
-	// deltas over canonical labels, typestate transitions, path-condition
-	// atoms, candidate emissions, return bindings — and replays them at
-	// later matching activations instead of re-walking the callee (see
-	// summary.go). Active only in ModePATA and when Trace is nil.
-	NoSummaries bool
-	// NoAdaptive disables the per-entry adaptive cost model: by default the
-	// engine sizes up each entry before exploring it and watches the pruning,
-	// memoization, and summary layers' hit/yield rates during a probation
-	// window, switching off any layer that is not paying for itself on that
-	// entry. Decisions use only deterministic step/hit counts (never wall
-	// clock) and take effect only at activation boundaries, so the validated
-	// bug set — and the full report — is byte-identical with the controller
-	// on or off, sequentially and in parallel. Active only in ModePATA and
-	// when Trace is nil.
-	NoAdaptive bool
-	// AdaptiveProbe overrides the adaptive controller's probation window in
-	// executed steps (0 selects the default; negative pins the window open,
-	// i.e. observe forever and never disable). Exposed for experiments.
-	AdaptiveProbe int
-	// CanonFull computes every memo/summary key with the full CanonState
-	// re-labelling (a relevance filter over every variable, a fixpoint over
-	// every node) instead of the seed-restricted CanonStateSeeded walk.
-	// Debug knob: the two paths are bit-identical by construction (the
-	// cross-check tests pin this on whole corpora), so this only trades
-	// speed for nothing — it exists to isolate the seeded path in A/B runs.
-	CanonFull bool
 	// Validate enables Stage-2 path validation (default true). The
 	// ValidatePath hook is installed by the pathval package (or a custom
 	// validator); when nil, validation is skipped.
@@ -217,18 +172,6 @@ type ValidationOutcome struct {
 	Panicked bool
 }
 
-// PruneInfeasible reports whether on-the-fly feasibility pruning is
-// requested (on unless NoPrune is set).
-func (c Config) PruneInfeasible() bool { return !c.NoPrune }
-
-// MemoStates reports whether (block, state) memoization is requested (on
-// unless NoMemo is set).
-func (c Config) MemoStates() bool { return !c.NoMemo }
-
-// Summaries reports whether the interprocedural summary cache is requested
-// (on unless NoSummaries is set).
-func (c Config) Summaries() bool { return !c.NoSummaries }
-
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Checkers == nil {
@@ -304,27 +247,14 @@ type Stats struct {
 	Budgeted          int // entries that hit a path/step budget
 	Typestates        int64
 	TypestatesUnaware int64
-	// PrunedBranches counts branch directions skipped because the
-	// incremental cursor proved the accumulated path condition
-	// unsatisfiable; each one cuts a whole subtree.
+	// Deprecated: always zero; Stage-1 feasibility pruning was removed.
 	PrunedBranches int64
-	// MemoHits counts basic-block entries skipped because their
-	// (block, state) fingerprint repeated an already fully explored,
-	// emission-free configuration. MemoPathsSkipped/MemoStepsSkipped
-	// accumulate the recorded full-exploration cost those hits avoided
-	// (the skipped cost still counts against the entry budgets so a
-	// memoized run degrades no earlier than an unmemoized one).
-	MemoHits         int64
-	MemoPathsSkipped int64
-	MemoStepsSkipped int64
-	// SummaryHits counts call-site activations served from the
-	// interprocedural summary cache instead of re-walking the callee.
-	// SummaryPathsReplayed/SummaryStepsReplayed accumulate the recorded
-	// in-callee cost those hits avoided (charged against the entry budgets,
-	// like the memo's skipped cost).
-	SummaryHits          int64
-	SummaryPathsReplayed int64
-	SummaryStepsReplayed int64
+	// Deprecated: always zero; Stage-1 (block, state) memoization was removed.
+	MemoHits int64
+	// Deprecated: always zero; Stage-1 callee summaries were removed.
+	SummaryHits int64
+	// Deprecated: always zero; the adaptive layer controller was removed.
+	AdaptiveEntriesLight int64
 	PossibleBugs         int64
 	RepeatedDropped      int64
 	FalseDropped         int64
@@ -376,20 +306,16 @@ type Stats struct {
 	PanicsContained int
 	EntriesRetried  int
 	EntriesDegraded int
-	// Adaptive cost-model counters. AdaptiveEntriesLight counts entries the
-	// pre-flight size gate ran with every precision layer off;
-	// AdaptiveLayersOff counts per-entry layer deactivations the probation
-	// controller made mid-flight (0–3 per entry). Both are deterministic:
-	// decisions use only step/hit counts, never wall clock.
-	AdaptiveEntriesLight int64
-	AdaptiveLayersOff    int64
-	// Per-layer self-time, in nanoseconds: CanonNanos covers memo/summary
-	// key computation (canonical digests and their cache), CursorNanos the
-	// incremental feasibility cursor's branch/replay consults, SolverNanos
-	// the Stage-2 validation calls. Wall-clock measurements: nondeterministic
+	// Deprecated: always zero; the memo/summary key computation was removed.
+	CanonNanos int64
+	// Deprecated: always zero; Stage-1 feasibility pruning was removed.
+	CursorNanos int64
+	// SolverNanos is Stage-2 solver self-time in nanoseconds, summed over
+	// every validation worker, so it can exceed ValidationTime. AnalysisTime
+	// is the Stage-1 wall-clock; ValidationTime is the wall-clock of the
+	// Stage-2 tail drain, the validation left after Stage 1 ends (see
+	// RunParallel). All three are wall-clock measurements: nondeterministic
 	// across runs, excluded from every equivalence comparison.
-	CanonNanos     int64
-	CursorNanos    int64
 	SolverNanos    int64
 	AnalysisTime   time.Duration
 	ValidationTime time.Duration
@@ -440,42 +366,6 @@ type Engine struct {
 	onPath map[int]int
 	frames []*frame
 
-	// Per-entry pruning/memoization state (nil when the feature is off
-	// for this entry). reach restricts the memo key's loop-counter digest
-	// to instructions the subtree can still visit; recStack holds one
-	// in-progress recording per block entry on the DFS stack, capturing
-	// the subtree's candidate emissions for replay on later hits;
-	// pathsCharged/stepsCharged accumulate the recorded cost of
-	// memo-skipped subtrees, which budgetExceeded adds back so
-	// memoization never stretches an entry's budget beyond what full
-	// exploration would have allowed.
-	pruner       *pruner
-	memo         map[uint64]memoRec
-	reach        *reachSets
-	reachScratch []*blockInfo
-	recStack     []recFrame
-	pathsCharged int64
-	stepsCharged int64
-
-	// Per-entry interprocedural summary state (nil when the feature is off
-	// for this entry): completed summaries by activation key, keys whose
-	// recording was abandoned (not worth re-attempting), the in-progress
-	// recording stack, and a scratch slot for summaryKey's reach set.
-	sums       map[uint64]*summaryRec
-	sumFailed  map[uint64]bool
-	sumStack   []*sumFrame
-	sumScratch [1]*blockInfo
-
-	// canonSeen/canonVarW are canonDigests' seed-assembly scratch: memo keys
-	// union the reach sets of the block and every stacked call site, and a
-	// variable in two sets must seed the canonicalization exactly once.
-	canonSeen map[cir.Value]bool
-	canonVarW []cir.Value
-	// adapt is the per-entry adaptive cost-model state (nil when disabled);
-	// fnLocal memoizes per-function size counts for its pre-flight gate.
-	adapt   *adaptState
-	fnLocal map[*cir.Function]fnCounts
-
 	paths int64
 	steps int64
 	over  bool
@@ -502,13 +392,6 @@ type Engine struct {
 	possible []*PossibleBug
 	stats    Stats
 
-	// suffixArena bump-allocates the short path-suffix copies captured by
-	// emitCandidate and captureCont into open memo/summary recordings. The
-	// suffixes die with the per-entry memo and summary tables, so the arena
-	// resets at each analyzeEntry; pooling them keeps the candidate-emission
-	// hot path from hammering the allocator with tiny slices.
-	suffixArena stepArena
-
 	stackAddrMemo map[*cir.Register]bool
 }
 
@@ -516,11 +399,8 @@ type frame struct {
 	fn   *cir.Function
 	call *cir.Call // nil for the entry frame
 	// fid identifies the activation: it is the frame's depth (1 for the
-	// entry frame). Depth-based ids are reproducible across sibling DFS
-	// subtrees, which the (block, state) memoization requires — a
-	// monotonic counter would make otherwise-identical configurations
-	// hash differently. Reuse across successive same-depth activations
-	// is safe: the ownership props keyed on fids (ML, Pair) are always
+	// entry frame). Reuse across successive same-depth activations is
+	// safe: the ownership props keyed on fids (ML, Pair) are always
 	// consulted through a live-state guard, and OnReturn clears or
 	// transfers every live ownership of the popping frame.
 	fid   int
@@ -708,66 +588,6 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 	e.steps = 0
 	e.over = false
 
-	// Pruning and memoization are per-entry: the cursor context and the
-	// memo table restart fresh so symbol numbering and fingerprints
-	// depend only on this entry's exploration (RunParallel's per-worker
-	// engines then behave identically to the sequential engine). Both
-	// features mirror the Stage-2 replayer's ModePATA translation and
-	// are disabled under Trace, which observes every executed
-	// instruction.
-	e.pruner = nil
-	e.memo = nil
-	e.recStack = e.recStack[:0]
-	e.pathsCharged = 0
-	e.stepsCharged = 0
-	e.sums = nil
-	e.sumFailed = nil
-	e.sumStack = e.sumStack[:0]
-	e.suffixArena.reset()
-	e.adapt = nil
-	adaptive := e.Cfg.adaptiveOn()
-	light, reuse := false, false
-	if adaptive {
-		// Small entry: full exploration is cheaper than prune/memo setup, so
-		// those layers stay nil. Summaries survive the gate when the closure
-		// shows repeated callees (reuse) — replay is the one layer that can
-		// still pay on a small entry. The report is unaffected either way
-		// because each layer is individually report-preserving.
-		light, reuse = e.adaptGate(fn)
-		if light {
-			e.stats.AdaptiveEntriesLight++
-		}
-	}
-	if e.Cfg.Mode == ModePATA && e.Cfg.Trace == nil && (!light || reuse) {
-		if adaptive {
-			e.adaptStart()
-		}
-		if e.Cfg.PruneInfeasible() && !light {
-			e.pruner = newPruner()
-		}
-		if e.Cfg.MemoStates() && !light {
-			e.memo = make(map[uint64]memoRec)
-			if e.reach == nil {
-				e.reach = newReachSets(e.Mod)
-			}
-		}
-		if e.Cfg.Summaries() {
-			// The summary cache is per-entry for the same reason the memo
-			// is: keys embed per-entry canonical state, and per-entry reset
-			// keeps RunParallel's per-worker engines byte-identical to the
-			// sequential engine.
-			e.sums = make(map[uint64]*summaryRec)
-			e.sumFailed = make(map[uint64]bool)
-			if e.reach == nil {
-				e.reach = newReachSets(e.Mod)
-			}
-			if e.pruner != nil {
-				e.pruner.logAtoms = true
-				e.pruner.symNode = make(map[*smt.Var]int)
-			}
-		}
-	}
-
 	e.frames = append(e.frames, &frame{fn: fn, fid: 1})
 	entryBlk := fn.Entry()
 	if entryBlk != nil && len(entryBlk.Instrs) > 0 {
@@ -790,12 +610,6 @@ func (e *Engine) analyzeEntry(fn *cir.Function) {
 // execution, frequent enough that a deadline overshoots by at most a few
 // dozen steps.
 const pollEvery = 64
-
-// stopped reports whether the current entry's exploration has ended early
-// for any reason — budget, deadline, or cancellation. Memo and summary
-// recordings consult it: a subtree cut short must never be recorded as
-// fully explored.
-func (e *Engine) stopped() bool { return e.over || e.timedOut || e.cancelled }
 
 func (e *Engine) budgetExceeded() bool {
 	if e.over || e.timedOut || e.cancelled {
@@ -820,160 +634,20 @@ func (e *Engine) budgetExceeded() bool {
 			return true
 		}
 	}
-	// Negative budgets mean unlimited. The charged counters stand in for
-	// the work memo hits skipped, keeping the budget trip point where an
-	// unmemoized exploration would have hit it.
-	if (e.Cfg.MaxStepsPerEntry > 0 && e.steps+e.stepsCharged >= int64(e.Cfg.MaxStepsPerEntry)) ||
-		(e.Cfg.MaxPathsPerEntry > 0 && e.paths+e.pathsCharged >= int64(e.Cfg.MaxPathsPerEntry)) {
+	// Negative budgets mean unlimited.
+	if (e.Cfg.MaxStepsPerEntry > 0 && e.steps >= int64(e.Cfg.MaxStepsPerEntry)) ||
+		(e.Cfg.MaxPathsPerEntry > 0 && e.paths >= int64(e.Cfg.MaxPathsPerEntry)) {
 		e.over = true
 	}
 	return e.over
 }
 
 // exec handles one instruction and continues the DFS (HandleINST of
-// Figure 6). At basic-block entries it first consults the (block, state)
-// memo: a subtree whose relevant configuration fingerprint — canonical
-// alias graph, typestates, loop counters, call stack — matches an already
-// fully explored one is skipped, its recorded cost is charged against the
-// entry budget, and its recorded candidate emissions are replayed onto the
-// current path prefix, so a hit can never swallow a report.
+// Figure 6). All mutations are rolled back before returning.
 func (e *Engine) exec(in cir.Instr) {
 	if e.budgetExceeded() {
 		return
 	}
-	e.adaptMaybeDecide()
-	if e.memo != nil && e.adaptMemoOn() {
-		// Only block entries at CFG join points are worth fingerprinting:
-		// distinct DFS routes can converge only there, so memoizing
-		// single-predecessor blocks would pay the canonicalization cost
-		// with no chance of a hit.
-		if blk := in.Block(); blk != nil && len(blk.Instrs) > 0 && blk.Instrs[0] == in && e.reach.isJoin(blk) {
-			key, ok := e.memoKey(in)
-			if !ok {
-				// Some tracked object escaped canonicalization; fall
-				// through to plain execution for this block entry.
-				e.execStep(in)
-				return
-			}
-			if e.adapt != nil {
-				e.adapt.memoLookups++
-			}
-			if rec, ok := e.memo[key]; ok {
-				e.stats.MemoHits++
-				e.stats.MemoPathsSkipped += rec.paths
-				e.stats.MemoStepsSkipped += rec.steps
-				e.pathsCharged += rec.paths
-				e.stepsCharged += rec.steps
-				// The skipped subtree may contain returns of a callee being
-				// summarized; the recording would miss those continuations.
-				e.poisonSummaries()
-				for i := range rec.emits {
-					me := &rec.emits[i]
-					e.emitCandidate(me.ci, me.origin, me.bugInstr, me.extra, me.aliasSet, me.suffix)
-				}
-				return
-			}
-			e.recStack = append(e.recStack, recFrame{
-				key:     key,
-				pathLen: len(e.path),
-				paths0:  e.paths + e.pathsCharged,
-				steps0:  e.steps + e.stepsCharged,
-				pruned0: e.stats.PrunedBranches,
-			})
-			e.execStep(in)
-			f := &e.recStack[len(e.recStack)-1]
-			// Record only subtrees that ran to completion (no budget trip)
-			// and had no branch pruned inside them. The latter makes the
-			// record independent of the path constraints accumulated
-			// before this block: a subtree in which nothing was pruned
-			// behaves exactly as unpruned exploration would, so a later
-			// hit under a *different* constraint prefix is still sound —
-			// which is what lets the memo key omit the pruner's
-			// constraint chain entirely. Candidate emissions don't block
-			// recording: they are captured (up to maxMemoEmits) and
-			// replayed on hits.
-			if !f.poisoned && !e.stopped() && e.stats.PrunedBranches == f.pruned0 {
-				e.memo[f.key] = memoRec{
-					paths: e.paths + e.pathsCharged - f.paths0,
-					steps: e.steps + e.stepsCharged - f.steps0,
-					emits: f.emits,
-				}
-			}
-			e.recStack = e.recStack[:len(e.recStack)-1]
-			return
-		}
-	}
-	e.execStep(in)
-}
-
-// memoKey fingerprints the complete configuration that determines the
-// (unpruned) behavior of the subtree rooted at block-entry instruction in:
-// the canonical alias graph, the tracked typestates expressed over canonical
-// node labels, the reachability-restricted loop counters, and the call
-// stack. The incremental Fingerprints cannot serve here — their facts embed
-// allocation-order node IDs, which differ between DFS prefixes that converge
-// on the same logical state. The pruner's constraint chain is deliberately
-// absent: recorded subtrees are constraint-free (see exec), so the key must
-// not distinguish prefixes by their path conditions. Returns ok=false when
-// the configuration cannot be canonicalized (a tracked object is no longer
-// variable-reachable); the caller then skips memoization.
-func (e *Engine) memoKey(in cir.Instr) (uint64, bool) {
-	sets := e.reachScratch[:0]
-	sets = append(sets, e.reach.blockReach(in.Block()))
-	for _, f := range e.frames[1:] {
-		sets = append(sets, e.reach.blockReach(f.call.Block()))
-	}
-	e.reachScratch = sets[:0]
-	gd, td, _, ok := e.canonDigests(sets)
-	if !ok {
-		return 0, false
-	}
-	h := hmix.Mix4(uint64(in.GID()), gd, td, e.onPathDigest(sets))
-	return hmix.Mix2(h, e.framesHash()), true
-}
-
-// onPathDigest hashes the loop-unroll counters the subtree rooted at the
-// current instruction can observe: the counter of any instruction reachable
-// from its block, or reachable once control returns past one of the stacked
-// call sites (sets, as assembled by memoKey). Counters of unreachable
-// ancestors (e.g. the converging arms of a diamond) are excluded — they
-// cannot influence the subtree, and including them would make every
-// configuration unique. XOR-combining keeps the digest independent of map
-// iteration order.
-func (e *Engine) onPathDigest(sets []*blockInfo) uint64 {
-	var h uint64
-	for gid, n := range e.onPath {
-		if n <= 0 {
-			continue
-		}
-		for _, s := range sets {
-			if s.gids[gid] {
-				h ^= hmix.Mix2(uint64(gid), uint64(n))
-				break
-			}
-		}
-	}
-	return h
-}
-
-// framesHash digests the call stack: stack height, each frame's call site,
-// and its consumed continuation budget. The frame's fn and fid are implied
-// by the call site and the depth.
-func (e *Engine) framesHash() uint64 {
-	h := uint64(len(e.frames))
-	for _, f := range e.frames {
-		cg := uint64(0)
-		if f.call != nil {
-			cg = uint64(f.call.GID()) + 1
-		}
-		h = hmix.Mix3(h, cg, uint64(f.conts))
-	}
-	return h
-}
-
-// execStep is the pre-memo body of exec. All mutations are rolled back
-// before returning.
-func (e *Engine) execStep(in cir.Instr) {
 	if e.fault != nil && e.fault.Slow > 0 {
 		time.Sleep(e.fault.Slow)
 	}
@@ -987,10 +661,6 @@ func (e *Engine) execStep(in cir.Instr) {
 	}
 	gm := e.g.Checkpoint()
 	tm := e.tracker.Checkpoint()
-	var pm prunerMark
-	if e.pruner != nil {
-		pm = e.pruner.mark()
-	}
 	if e.onPath[gid] > 0 {
 		// Re-execution (loop unroll > 1): the defined register is a fresh
 		// dynamic instance; detach it from the previous iteration's class.
@@ -1013,13 +683,6 @@ func (e *Engine) execStep(in cir.Instr) {
 		if e.Cfg.Trace != nil {
 			e.Cfg.Trace(in, e.g)
 		}
-		if e.pruner != nil {
-			// Arithmetic definitions feed the cursor (Table 3 asg rule)
-			// so later branch conditions over derived values can refute.
-			if bin, ok := in.(*cir.BinOp); ok {
-				e.pruner.pushBinOp(e.g, bin)
-			}
-		}
 		e.emitInstr(in)
 		succs := instrSuccessors(in)
 		if len(succs) == 0 {
@@ -1031,15 +694,7 @@ func (e *Engine) execStep(in cir.Instr) {
 	}
 
 	e.path = e.path[:len(e.path)-1]
-	// Drop zeroed counters rather than leaving them behind: onPathDigest
-	// iterates this map at every join, so it must stay proportional to the
-	// live DFS stack, not to everything ever executed.
-	if e.onPath[gid]--; e.onPath[gid] == 0 {
-		delete(e.onPath, gid)
-	}
-	if e.pruner != nil {
-		e.pruner.rollback(pm)
-	}
+	e.onPath[gid]--
 	e.tracker.Rollback(tm)
 	e.g.Rollback(gm)
 }
@@ -1065,14 +720,6 @@ func instrSuccessors(in cir.Instr) []cir.Instr {
 }
 
 func (e *Engine) execCondBr(br *cir.CondBr) {
-	if e.pruner != nil {
-		// Flush queued binop atoms outside the per-direction checkpoints so
-		// both subtrees share one flush; inside the loop each direction would
-		// re-push the whole shared prefix after the sibling's rollback.
-		t0 := time.Now()
-		e.pruner.flushPending()
-		e.stats.CursorNanos += int64(time.Since(t0))
-	}
 	for _, taken := range []bool{true, false} {
 		target := br.False
 		if taken {
@@ -1087,27 +734,6 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 		}
 		gm := e.g.Checkpoint()
 		tm := e.tracker.Checkpoint()
-		var pm prunerMark
-		if e.pruner != nil {
-			// Assert the branch condition for this direction and skip the
-			// whole subtree when the path condition becomes unsatisfiable:
-			// every candidate it could produce carries a path Stage-2
-			// validation would prove infeasible.
-			if e.adapt != nil {
-				e.adapt.branchConsults++
-			}
-			pm = e.pruner.mark()
-			t0 := time.Now()
-			verdict := e.pruner.pushBranch(e.g, br, taken)
-			e.stats.CursorNanos += int64(time.Since(t0))
-			if verdict == smt.Unsat {
-				e.notePrune()
-				e.pruner.rollback(pm)
-				e.tracker.Rollback(tm)
-				e.g.Rollback(gm)
-				continue
-			}
-		}
 		// Record the direction on the branch step already on the path.
 		e.path[len(e.path)-1].Taken = taken
 		for ci, c := range e.tracker.Checkers {
@@ -1116,9 +742,6 @@ func (e *Engine) execCondBr(br *cir.CondBr) {
 			}
 		}
 		e.exec(next)
-		if e.pruner != nil {
-			e.pruner.rollback(pm)
-		}
 		e.tracker.Rollback(tm)
 		e.g.Rollback(gm)
 	}
@@ -1161,31 +784,6 @@ func (e *Engine) execCall(call *cir.Call) {
 			}
 		}
 	}
-	// Interprocedural summary consult: keyed on the post-binding observable
-	// state, a matching activation replays the recorded callee effects; a
-	// first activation records them while walking live. Either way the
-	// bindings roll back below like a live walk's would.
-	if e.summariesOn() && e.adaptSumOn() {
-		if key, labels, ok := e.summaryKey(callee); ok {
-			if e.adapt != nil {
-				e.adapt.sumLookups++
-			}
-			if rec, hit := e.sums[key]; hit {
-				if e.replaySummary(call, rec, labels) {
-					e.tracker.Rollback(tm)
-					e.g.Rollback(gm)
-					return
-				}
-				// A recorded ref did not resolve here (label collision);
-				// fall through to a live walk without recording.
-			} else if !e.sumFailed[key] {
-				e.recordCall(call, callee, key, labels)
-				e.tracker.Rollback(tm)
-				e.g.Rollback(gm)
-				return
-			}
-		}
-	}
 	e.frames = append(e.frames, &frame{fn: callee, call: call, fid: len(e.frames) + 1})
 	e.exec(callee.Entry().Instrs[0])
 	e.frames = e.frames[:len(e.frames)-1]
@@ -1213,17 +811,6 @@ func (e *Engine) execRet(ret *cir.Ret) {
 		e.endPath()
 		return
 	}
-	// If this activation is being summarized, snapshot the continuation
-	// (callee effects so far, expressed canonically) before the caller
-	// resumes, and suspend the recording: the caller's continuation runs
-	// nested inside the callee walk but is not part of the callee's effect.
-	sf := e.sumTop(f)
-	if sf != nil {
-		e.captureCont(sf, ret)
-		sf.suspended = true
-		sf.suspSteps = e.steps + e.stepsCharged
-		sf.suspPaths = e.paths + e.pathsCharged
-	}
 	// Bind the return value to the call destination (HandleCALL lines
 	// 19–20) and continue after the call site.
 	e.frames = e.frames[:len(e.frames)-1]
@@ -1247,11 +834,6 @@ func (e *Engine) execRet(ret *cir.Ret) {
 	e.tracker.Rollback(tm)
 	e.g.Rollback(gm)
 	e.frames = append(e.frames, f)
-	if sf != nil {
-		sf.extSteps += e.steps + e.stepsCharged - sf.suspSteps
-		sf.extPaths += e.paths + e.pathsCharged - sf.suspPaths
-		sf.suspended = false
-	}
 }
 
 func (e *Engine) endPath() {
@@ -1318,54 +900,15 @@ func (e *Engine) bugSink(ci int, em typestate.Emission, from typestate.State) {
 			aliasSet = aliasSet[:8]
 		}
 	}
-	e.emitCandidate(ci, origin, em.Instr, em.Extra, aliasSet, nil)
+	e.emitCandidate(ci, origin, em.Instr, em.Extra, aliasSet)
 }
 
 // emitCandidate deduplicates one candidate emission by (checker, origin
 // instruction, bug instruction) as the paper's P3 phase does, and snapshots
-// the path for Stage 2. The emission's path is the current path plus tail
-// (tail is non-empty when replaying a memoized subtree's emission: the
-// recorded suffix grafted onto the live prefix). While memo recordings are
-// active, the emission is also captured into each open recording frame,
-// expressed relative to that frame's own memo point.
-func (e *Engine) emitCandidate(ci, origin int, bugInstr cir.Instr, extra *typestate.ExtraConstraint, aliasSet []string, tail []PathStep) {
-	full := make([]PathStep, 0, len(e.path)+len(tail))
-	full = append(append(full, e.path...), tail...)
-	for i := range e.recStack {
-		f := &e.recStack[i]
-		if f.poisoned {
-			continue
-		}
-		if len(f.emits) >= maxMemoEmits {
-			f.poisoned = true
-			continue
-		}
-		suffix := e.suffixArena.alloc(len(full) - f.pathLen)
-		copy(suffix, full[f.pathLen:])
-		f.emits = append(f.emits, memoEmit{
-			ci: ci, origin: origin, bugInstr: bugInstr,
-			extra: extra, aliasSet: aliasSet, suffix: suffix,
-		})
-	}
-	// Open summary recordings capture the emission the same way, relative to
-	// their own activation point. Suspended recordings skip it: an emission
-	// during a caller continuation is not a callee effect — the continuation
-	// re-runs live at replay sites and regenerates it there.
-	for _, sf := range e.sumStack {
-		if sf.poisoned || sf.suspended {
-			continue
-		}
-		if len(sf.events) >= maxSummaryEvents {
-			sf.poisoned = true
-			continue
-		}
-		suffix := e.suffixArena.alloc(len(full) - sf.pathLen)
-		copy(suffix, full[sf.pathLen:])
-		sf.events = append(sf.events, sumEvent{emit: &sumEmit{
-			ci: ci, origin: origin, bugInstr: bugInstr,
-			extra: extra, aliasSet: aliasSet, suffix: suffix,
-		}})
-	}
+// the current path for Stage 2.
+func (e *Engine) emitCandidate(ci, origin int, bugInstr cir.Instr, extra *typestate.ExtraConstraint, aliasSet []string) {
+	full := make([]PathStep, len(e.path))
+	copy(full, e.path)
 	key := dedupKey{checker: ci, origin: origin, bug: bugInstr.GID()}
 	if prev, dup := e.dedup[key]; dup {
 		e.stats.RepeatedDropped++

@@ -119,10 +119,8 @@ static int mcde_dsi_bind(struct mcde_dsi *d) {
 
 func TestNPDInfeasiblePathDropped(t *testing.T) {
 	// The Figure 9 pattern: the "bug" needs q != 0 and q == 0 on one path —
-	// infeasible. With the default on-the-fly pruning the contradictory
-	// branch is cut during Stage 1; with pruning disabled the candidate
-	// reaches Stage 2 and alias-aware validation must drop it. Either way
-	// no line-10 bug may survive.
+	// infeasible. Stage 1 reports the candidate and Stage-2 alias-aware
+	// validation must drop it.
 	src := map[string]string{"a.c": `
 struct s { int f; };
 void func(struct s *p, char *q) {
@@ -135,17 +133,7 @@ void func(struct s *p, char *q) {
 			use(*q);        /* line 10: only reachable when q != 0 AND q == 0 */
 	}
 }`}
-	res := run(t, core.Config{NoAdaptive: true}, src)
-	for _, b := range res.Bugs {
-		if b.BugInstr.Position().Line == 10 {
-			t.Errorf("infeasible-path bug at line 10 survived (pruning on)")
-		}
-	}
-	if res.Stats.PrunedBranches == 0 {
-		t.Errorf("expected the contradictory branch to be pruned, stats: %+v", res.Stats)
-	}
-
-	res = run(t, core.Config{NoPrune: true, NoMemo: true}, src)
+	res := run(t, core.Config{}, src)
 	for _, b := range res.Bugs {
 		if b.BugInstr.Position().Line == 10 {
 			t.Errorf("infeasible-path bug at line 10 survived validation")

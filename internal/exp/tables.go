@@ -56,18 +56,13 @@ type Table5Row struct {
 // counters (typestates and SMT constraints, alias-aware vs unaware),
 // bug-filtering counters (dropped repeated/false bugs) and found/real bugs
 // per type. The runs go through the pipelined parallel scheduler, so the
-// time-usage row reflects the overlapped two-stage pipeline. On-the-fly
-// pruning is disabled for this table: the paper's tool filters infeasible
-// candidates only in Stage 2, and the "dropped false bugs" row counts
-// exactly those Stage-2 drops (the default pruning would intercept most of
-// them during Stage 1 — PruningTable reports that effect).
+// time-usage row reflects the overlapped two-stage pipeline. As in the
+// paper, infeasible candidates are filtered only in Stage 2, and the
+// "dropped false bugs" row counts exactly those Stage-2 drops.
 func Table5(w io.Writer) ([]Table5Row, error) {
 	var rows []Table5Row
 	for _, c := range Corpora() {
-		cfg := PATAConfig()
-		cfg.NoPrune = true
-		cfg.NoMemo = true
-		run, err := RunPATAPipelined(c, cfg, "pata", 0)
+		run, err := RunPATAPipelined(c, PATAConfig(), "pata", 0)
 		if err != nil {
 			return nil, err
 		}
@@ -162,115 +157,6 @@ func Table5(w io.Writer) ([]Table5Row, error) {
 	if found > 0 {
 		fmt.Fprintf(w, "Overall: %d found, %d real, false positive rate %.0f%% (paper: 797 found, 574 real, 28%%)\n",
 			found, real, 100*float64(found-real)/float64(found))
-	}
-	return rows, nil
-}
-
-// PruningRow compares one corpus analyzed with and without the Stage-1
-// on-the-fly pruning and memoization.
-type PruningRow struct {
-	OS  string
-	On  *ToolRun // defaults: incremental feasibility pruning + memoization
-	Off *ToolRun // -no-prune -no-memo
-}
-
-// PruningTable quantifies the on-the-fly path pruning: for each corpus it
-// runs the default engine (incremental feasibility cursor + (block, state)
-// memoization) and the disabled variant, and reports the explored
-// paths/steps, the pruned-branch and memo-hit counters, and the found bugs
-// — which must match exactly, since pruning only discards work Stage-2
-// validation would reject.
-func PruningTable(w io.Writer) ([]PruningRow, error) {
-	var rows []PruningRow
-	for _, c := range Corpora() {
-		on, err := RunPATA(c, PATAConfig(), "pata")
-		if err != nil {
-			return nil, err
-		}
-		cfg := PATAConfig()
-		cfg.NoPrune = true
-		cfg.NoMemo = true
-		off, err := RunPATA(c, cfg, "pata-noprune")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PruningRow{OS: c.Spec.Name, On: on, Off: off})
-	}
-	fmt.Fprintln(w, "On-the-fly pruning effect (defaults vs -no-prune -no-memo)")
-	t := &report.Table{Header: []string{
-		"OS", "Paths (on/off)", "Steps (on/off)", "Pruned branches",
-		"Memo hits (paths skipped)", "Found bugs (on/off)", "Time (on/off)",
-	}}
-	var pOn, pOff int64
-	for _, r := range rows {
-		pOn += r.On.Stats.PathsExplored
-		pOff += r.Off.Stats.PathsExplored
-		t.AddRow(r.OS,
-			fmt.Sprintf("%d/%d", r.On.Stats.PathsExplored, r.Off.Stats.PathsExplored),
-			fmt.Sprintf("%d/%d", r.On.Stats.StepsExecuted, r.Off.Stats.StepsExecuted),
-			fmt.Sprintf("%d", r.On.Stats.PrunedBranches),
-			fmt.Sprintf("%d (%d)", r.On.Stats.MemoHits, r.On.Stats.MemoPathsSkipped),
-			fmt.Sprintf("%d/%d", r.On.Score.Found, r.Off.Score.Found),
-			fmt.Sprintf("%s/%s", fmtDuration(r.On.Elapsed), fmtDuration(r.Off.Elapsed)))
-	}
-	t.Write(w)
-	if pOff > 0 {
-		fmt.Fprintf(w, "Overall: %d paths with pruning, %d without (%.0f%% reduction)\n",
-			pOn, pOff, 100*float64(pOff-pOn)/float64(pOff))
-	}
-	return rows, nil
-}
-
-// SummaryRow compares one corpus analyzed with and without the Stage-1
-// interprocedural callee summaries.
-type SummaryRow struct {
-	OS  string
-	On  *ToolRun // defaults: callee summaries recorded and replayed
-	Off *ToolRun // -no-summaries
-}
-
-// SummaryTable quantifies the interprocedural callee summaries: for each
-// corpus — the four paper OSes plus the helper-heavy workload built to
-// exercise repeated call-site activations — it runs the default engine and
-// the -no-summaries variant, and reports executed steps, the hit/replay
-// counters, and the found bugs, which must match exactly since a summary is
-// only replayed when its recorded activation is observationally equivalent.
-func SummaryTable(w io.Writer) ([]SummaryRow, error) {
-	var rows []SummaryRow
-	corpora := append(Corpora(), oscorpus.Generate(oscorpus.HelperHeavySpec()))
-	for _, c := range corpora {
-		on, err := RunPATA(c, PATAConfig(), "pata")
-		if err != nil {
-			return nil, err
-		}
-		cfg := PATAConfig()
-		cfg.NoSummaries = true
-		off, err := RunPATA(c, cfg, "pata-nosum")
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, SummaryRow{OS: c.Spec.Name, On: on, Off: off})
-	}
-	fmt.Fprintln(w, "Interprocedural summary effect (defaults vs -no-summaries)")
-	t := &report.Table{Header: []string{
-		"OS", "Steps (on/off)", "Summary hits", "Replayed (paths/steps)",
-		"Found bugs (on/off)", "Time (on/off)",
-	}}
-	var sOn, sOff int64
-	for _, r := range rows {
-		sOn += r.On.Stats.StepsExecuted
-		sOff += r.Off.Stats.StepsExecuted
-		t.AddRow(r.OS,
-			fmt.Sprintf("%d/%d", r.On.Stats.StepsExecuted, r.Off.Stats.StepsExecuted),
-			fmt.Sprintf("%d", r.On.Stats.SummaryHits),
-			fmt.Sprintf("%d/%d", r.On.Stats.SummaryPathsReplayed, r.On.Stats.SummaryStepsReplayed),
-			fmt.Sprintf("%d/%d", r.On.Score.Found, r.Off.Score.Found),
-			fmt.Sprintf("%s/%s", fmtDuration(r.On.Elapsed), fmtDuration(r.Off.Elapsed)))
-	}
-	t.Write(w)
-	if sOff > 0 {
-		fmt.Fprintf(w, "Overall: %d steps with summaries, %d without (%.0f%% reduction)\n",
-			sOn, sOff, 100*float64(sOff-sOn)/float64(sOff))
 	}
 	return rows, nil
 }

@@ -16,7 +16,7 @@ type CatSpec struct {
 	Filler int // bug-free functions across the category
 	// Helpers counts helper-heavy clusters (see helperShapes): drivers whose
 	// path explosion concentrates in repeated calls to small shared helpers,
-	// the shape interprocedural summaries collapse. Zero everywhere except
+	// the shape callee summaries were built for. Zero everywhere except
 	// the dedicated helper-heavy spec, so existing corpora are unchanged.
 	Helpers int
 	// Validation counts validation-heavy clusters (see validationShapes):
@@ -345,9 +345,10 @@ func WithExtensions(spec OSSpec) OSSpec {
 	return spec
 }
 
-// Scaled multiplies every per-category count of spec (files, filler, bugs,
-// traps) by factor, for scalability experiments. factor 1 returns spec
-// unchanged; the seed is offset so scaled corpora differ from the base.
+// Scaled multiplies every per-category count of spec (files, filler, helper
+// and validation clusters, bugs, traps) by factor, for scalability
+// experiments. factor 1 returns spec unchanged; the seed is offset so scaled
+// corpora differ from the base.
 func Scaled(spec OSSpec, factor int) OSSpec {
 	if factor <= 1 {
 		return spec
@@ -356,16 +357,16 @@ func Scaled(spec OSSpec, factor int) OSSpec {
 	out.Seed = spec.Seed + int64(factor)*1000
 	out.Cats = make([]CatSpec, len(spec.Cats))
 	for i, cat := range spec.Cats {
-		nc := CatSpec{
-			Name:   cat.Name,
-			Files:  cat.Files * factor,
-			Filler: cat.Filler * factor,
-			Bugs:   make(map[typestate.BugType]int, len(cat.Bugs)),
-			Traps:  make(map[string]int, len(cat.Traps)),
-		}
+		nc := cat
+		nc.Files *= factor
+		nc.Filler *= factor
+		nc.Helpers *= factor
+		nc.Validation *= factor
+		nc.Bugs = make(map[typestate.BugType]int, len(cat.Bugs))
 		for k, v := range cat.Bugs {
 			nc.Bugs[k] = v * factor
 		}
+		nc.Traps = make(map[string]int, len(cat.Traps))
 		for k, v := range cat.Traps {
 			nc.Traps[k] = v * factor
 		}

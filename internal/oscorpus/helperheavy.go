@@ -9,17 +9,18 @@ import (
 // Helper-heavy cluster shapes: each emission is one driver plus the small
 // leaf helpers it calls, colocated in one file. The drivers interleave the
 // helper calls with flag diamonds that assign path-distinct constants to
-// locals observed at the end of the function, so the (block, state) memo
-// never collapses the routes — every one of the exponentially many prefixes
-// re-reaches the next call site, always in the same callee-observable state.
-// That is the access pattern interprocedural summaries exist for: the first
-// activation of each helper records, every later one replays. Real-OS
+// locals observed at the end of the function, so no route merges with
+// another — every one of the exponentially many prefixes re-reaches the next
+// call site, always in the same callee-observable state. The corpus was built
+// for callee summaries (record the first activation of each helper, replay
+// every later one); that layer is gone, and the shape stays as a
+// Stage-1-heavy workload. Real-OS
 // precedent: register-bank accessors, devres-style field setters, and small
 // clamp/classify arithmetic helpers called from option-cascade probe paths.
 var helperShapes = []func(tc *templateCtx){
 	// Arithmetic pipeline: six straight-line scale/clamp helpers, one per
 	// call site, behind six flag diamonds (64 routes, 126 activations, 6
-	// distinct summaries).
+	// distinct callee states).
 	func(tc *templateCtx) {
 		f := tc.f
 		drv := tc.id("calib")
@@ -138,8 +139,8 @@ var helperShapes = []func(tc *templateCtx){
 		f.w("}")
 		f.blank()
 	},
-	// Branching classifiers: each helper forks internally, so a summary
-	// carries two continuations with their own path-condition atoms.
+	// Branching classifiers: each helper forks internally, so every call
+	// returns along two continuations with their own path-condition atoms.
 	func(tc *templateCtx) {
 		f := tc.f
 		drv := tc.id("classify")
@@ -170,11 +171,11 @@ var helperShapes = []func(tc *templateCtx){
 	},
 }
 
-// HelperHeavySpec is the dedicated summary-workload corpus: helper clusters
+// HelperHeavySpec is the dedicated helper-call workload corpus: helper clusters
 // dominate, with a sprinkle of ordinary bugs and traps so the post-validation
-// bug report the equivalence test compares is non-empty. It is not part of
+// bug report is non-empty. It is not part of
 // AllSpecs — the Table 4/5 experiments keep the paper's four OSes — and is
-// consumed by the summary ablation bench and tests.
+// consumed by benchmarks and tests.
 func HelperHeavySpec() OSSpec {
 	return OSSpec{
 		Name: "helper-heavy", Version: "1.0", Seed: 7701,

@@ -1,6 +1,7 @@
 package oscorpus
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -239,6 +240,34 @@ func TestScaled(t *testing.T) {
 	}
 	if Scaled(ZephyrSpec(), 1).Seed != ZephyrSpec().Seed {
 		t.Error("factor 1 must be identity")
+	}
+
+	// Helper and validation clusters scale too: count the cluster entry
+	// functions each generated corpus defines.
+	clusters := []struct {
+		spec    OSSpec
+		drivers *regexp.Regexp
+		want    int
+	}{
+		{HelperHeavySpec(), regexp.MustCompile(`\b\w+_(calib|bank_init|cb_apply|classify)_\d+\(`), 12},
+		{ValidationHeavySpec(), regexp.MustCompile(`\b\w+_(opt_fan|ladder|route|probe_fan)_\d+\(`), 24},
+	}
+	for _, cl := range clusters {
+		count := func(c *Corpus) int {
+			seen := map[string]bool{}
+			for _, src := range c.Sources {
+				for _, m := range cl.drivers.FindAllString(src, -1) {
+					seen[m] = true
+				}
+			}
+			return len(seen)
+		}
+		if got := count(Generate(cl.spec)); got != cl.want {
+			t.Errorf("%s: %d clusters, want %d", cl.spec.Name, got, cl.want)
+		}
+		if got := count(Generate(Scaled(cl.spec, 3))); got != 3*cl.want {
+			t.Errorf("%s x3: %d clusters, want %d", cl.spec.Name, got, 3*cl.want)
+		}
 	}
 }
 

@@ -493,8 +493,7 @@ var fillerShapes = []func(tc *templateCtx){
 	},
 	func(tc *templateCtx) { // option-flag cascade: 2^6 routes converge on
 		// changed ∈ {0,1}; the kernel's module-param / feature-bit apply
-		// pattern. Path-insensitive in outcome, exponential in routes —
-		// state memoization collapses it.
+		// pattern. Path-insensitive in outcome, exponential in routes.
 		f := tc.f
 		n := tc.id("cfg_apply")
 		f.w("static int %s(int flags) {", n)

@@ -398,6 +398,53 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 }
 
+// filler yields n bytes of 'x' without holding them in memory.
+type filler struct{ n int }
+
+func (f *filler) Read(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), f.n)
+	for i := range p[:k] {
+		p[i] = 'x'
+	}
+	f.n -= k
+	return k, nil
+}
+
+// TestSessionSurvivesOversizedLine streams a ping whose id pushes the line
+// past the 64 MiB cap, then a valid ping: the first gets a "line too long"
+// error, and the session still answers the second.
+func TestSessionSurvivesOversizedLine(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	in := io.MultiReader(
+		strings.NewReader(`{"op":"ping","id":"`),
+		&filler{n: scanMaxBuf + 1<<20},
+		strings.NewReader("\"}\n"+`{"op":"ping","id":"p2"}`+"\n"),
+	)
+	var out strings.Builder
+	srv.ServeStream(in, &out)
+
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want 2 response lines, got %d: %q", len(lines), out.String())
+	}
+	var tooLong, ping Response
+	if err := json.Unmarshal([]byte(lines[0]), &tooLong); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &ping); err != nil {
+		t.Fatal(err)
+	}
+	if tooLong.OK || !strings.Contains(tooLong.Error, "bad request: line too long") {
+		t.Errorf("oversized line: %+v", tooLong)
+	}
+	if !ping.OK || ping.ID != "p2" {
+		t.Errorf("ping after oversized line: %+v", ping)
+	}
+}
+
 // TestSessionProtocol drives a full NDJSON session over an in-memory pipe:
 // ping, status, malformed input, unknown op, analyze, shutdown.
 func TestSessionProtocol(t *testing.T) {

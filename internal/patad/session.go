@@ -11,12 +11,50 @@ import (
 	"sync"
 )
 
-// scanner sizing: requests inline whole source files, so lines can be
-// large. 64 KiB initial, 64 MiB hard cap per line.
+// Request line sizing: requests inline whole source files, so lines can be
+// large. 64 KiB read buffer, 64 MiB hard cap per line.
 const (
 	scanInitBuf = 64 << 10
 	scanMaxBuf  = 64 << 20
 )
+
+// lineReader splits a request stream into lines of at most scanMaxBuf bytes.
+// Unlike bufio.Scanner, which stops for good at the first longer line, it
+// consumes an oversized line to its end and reports it, so the session can
+// answer it and keep serving.
+type lineReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+// next returns the next line without its "\n" or "\r\n" terminator; the
+// slice is valid until the following call. tooLong reports a line past
+// scanMaxBuf, whose bytes were discarded. A final line without a terminator
+// is returned before io.EOF.
+func (lr *lineReader) next() (line []byte, tooLong bool, err error) {
+	lr.buf = lr.buf[:0]
+	for {
+		frag, rerr := lr.br.ReadSlice('\n')
+		if !tooLong {
+			if len(lr.buf)+len(bytes.TrimSuffix(frag, []byte("\n"))) > scanMaxBuf {
+				tooLong = true
+				lr.buf = lr.buf[:0]
+			} else {
+				lr.buf = append(lr.buf, frag...)
+			}
+		}
+		switch {
+		case rerr == bufio.ErrBufferFull:
+			continue
+		case rerr == io.EOF && (len(lr.buf) > 0 || tooLong):
+			// Unterminated final line; the next call reports io.EOF.
+		case rerr != nil:
+			return nil, false, rerr
+		}
+		line = bytes.TrimSuffix(lr.buf, []byte("\n"))
+		return bytes.TrimSuffix(line, []byte("\r")), tooLong, nil
+	}
+}
 
 // sessionWriter serializes one-line JSON responses onto a shared stream.
 // Analyze responses come from per-request goroutines, so writes must be
@@ -41,7 +79,8 @@ func (sw *sessionWriter) send(resp *Response) {
 }
 
 // ServeStream runs one protocol session over r/w until EOF, a read error,
-// or server drain. Analyze requests are dispatched to goroutines so the
+// or server drain. A request line over scanMaxBuf gets a "bad request: line
+// too long" error and the session goes on with the next line. Analyze requests are dispatched to goroutines so the
 // session keeps reading (that is how admission control gets exercised and
 // how a client cancels-by-disconnecting); control ops answer inline in
 // arrival order. ServeStream returns only after every dispatched request
@@ -56,10 +95,16 @@ func (s *Server) ServeStream(r io.Reader, w io.Writer) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, scanInitBuf), scanMaxBuf)
-	for sc.Scan() {
-		line := sc.Bytes()
+	lr := &lineReader{br: bufio.NewReaderSize(r, scanInitBuf)}
+	for {
+		line, tooLong, err := lr.next()
+		if err != nil {
+			return
+		}
+		if tooLong {
+			sw.send(&Response{OK: false, Error: fmt.Sprintf("bad request: line too long (over %d bytes)", scanMaxBuf)})
+			continue
+		}
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}

@@ -221,8 +221,8 @@ func (v *Validator) ValidateCtx(ctx context.Context, bug *core.PossibleBug, mode
 // bug, and so does Unknown — which the solver also returns when the DNF
 // expansion of a path's constraint system hits its clause cap and is
 // truncated; a truncated system proves nothing, so dropping on it would be
-// unsound for a bug finder. The Stage-1 pruner relies on the same
-// asymmetry from the other side: it skips a branch only on Unsat.
+// unsound for a bug finder. The batch screen relies on the same asymmetry
+// from the other side: it refutes a prefix only on Unsat.
 func FeasibleVerdict(res smt.Result) bool { return res != smt.Unsat }
 
 // newReplayer returns a fresh replay state: its own alias graph and term
@@ -281,15 +281,22 @@ func (v *Validator) solveReplayed(ctx context.Context, r *replayer) core.Validat
 
 // triggerValues renders the solver model as "name = value" pairs for
 // source-named variables, giving reports concrete inputs that drive the
-// witness path.
+// witness path. When several alias classes carry the same source name (a
+// local reassigned along the path), the class with the lowest symbol ID
+// names it, so the report is the same on every run.
 func (r *replayer) triggerValues(model smt.Model) []string {
 	if len(model) == 0 {
 		return nil
 	}
+	nodes := make([]*aliasgraph.Node, 0, len(r.syms))
+	for node := range r.syms {
+		nodes = append(nodes, node)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return r.syms[nodes[i]].ID < r.syms[nodes[j]].ID })
 	var out []string
 	seen := map[string]bool{}
-	for node, sym := range r.syms {
-		val, ok := model[sym.ID]
+	for _, node := range nodes {
+		val, ok := model[r.syms[node].ID]
 		if !ok {
 			continue
 		}

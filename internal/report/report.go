@@ -66,8 +66,11 @@ func OriginInstr(b *core.Bug) cir.Instr {
 }
 
 // WriteStats renders the engine counters, including the pipelined
-// scheduler's per-stage wall-clock, work-steal, and verdict-cache counters
-// (cmd/pata -stats uses this).
+// scheduler's work-steal and verdict-cache counters and its timings
+// (cmd/pata -stats uses this). The two stage lines are wall-clock: Stage 1
+// (AnalysisTime) and the Stage-2 tail drain after it (ValidationTime). The
+// solver line is self-time summed over validation workers, so it can
+// exceed both.
 func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "statistics:\n")
 	fmt.Fprintf(w, "  entry functions:     %d\n", st.EntryFunctions)
@@ -75,11 +78,6 @@ func WriteStats(w io.Writer, st core.Stats) {
 	fmt.Fprintf(w, "  steps executed:      %d\n", st.StepsExecuted)
 	fmt.Fprintf(w, "  typestates:          %d (unaware: %d)\n", st.Typestates, st.TypestatesUnaware)
 	fmt.Fprintf(w, "  SMT constraints:     %d (unaware: %d)\n", st.Constraints, st.ConstraintsUnaware)
-	fmt.Fprintf(w, "  pruned branches:     %d\n", st.PrunedBranches)
-	fmt.Fprintf(w, "  memo hits:           %d (paths skipped: %d, steps skipped: %d)\n",
-		st.MemoHits, st.MemoPathsSkipped, st.MemoStepsSkipped)
-	fmt.Fprintf(w, "  summary hits:        %d (paths replayed: %d, steps replayed: %d)\n",
-		st.SummaryHits, st.SummaryPathsReplayed, st.SummaryStepsReplayed)
 	fmt.Fprintf(w, "  repeated dropped:    %d\n", st.RepeatedDropped)
 	fmt.Fprintf(w, "  false dropped:       %d\n", st.FalseDropped)
 	fmt.Fprintf(w, "  verdict cache:       %d hits, %d misses, %d evicted\n",
@@ -90,13 +88,10 @@ func WriteStats(w io.Writer, st core.Stats) {
 		st.CacheEntriesHit, st.CacheEntriesMiss, st.CacheStepsSkipped)
 	fmt.Fprintf(w, "  fault isolation:     %d degraded, %d retried, %d deadline trips, %d panics contained\n",
 		st.EntriesDegraded, st.EntriesRetried, st.DeadlineTrips, st.PanicsContained)
-	fmt.Fprintf(w, "  adaptive cost model: %d light entries, %d layers switched off\n",
-		st.AdaptiveEntriesLight, st.AdaptiveLayersOff)
-	fmt.Fprintf(w, "  layer self-time:     canon %v, cursor %v, solver %v\n",
-		time.Duration(st.CanonNanos), time.Duration(st.CursorNanos), time.Duration(st.SolverNanos))
 	fmt.Fprintf(w, "  work steals:         %d\n", st.WorkSteals)
-	fmt.Fprintf(w, "  analysis time:       %v\n", st.AnalysisTime)
-	fmt.Fprintf(w, "  validation time:     %v\n", st.ValidationTime)
+	fmt.Fprintf(w, "  stage-1 wall-clock:  %v\n", st.AnalysisTime)
+	fmt.Fprintf(w, "  stage-2 tail drain:  %v (wall-clock)\n", st.ValidationTime)
+	fmt.Fprintf(w, "  solver:              %v (self-time summed over workers)\n", time.Duration(st.SolverNanos))
 }
 
 // WriteIncomplete renders the incomplete-analysis section: every entry

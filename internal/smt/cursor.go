@@ -4,26 +4,27 @@ package smt
 // conjunction of atoms. It wraps the same offset union-find + interval
 // machinery conjSolver uses for batch queries, but exposes it through
 // Push/Checkpoint/Rollback with an undo trail, mirroring the alias graph's
-// trail so a path-sensitive DFS can assert one branch condition, descend,
-// backtrack, and assert the other — all in O(changed facts) instead of
-// re-solving the whole conjunction at every fork.
+// trail so a walk over a tree of paths can assert one branch condition,
+// descend, backtrack, and assert the other — all in O(changed facts) instead
+// of re-solving the whole conjunction at every fork.
 //
 // Soundness contract: Push returns Unsat only when the accumulated
 // conjunction is provably unsatisfiable by rules that are a strict subset of
 // conjSolver's (equality absorption, one-shot interval propagation,
 // singleton disequality checks). Anything the cursor cannot decide is
 // reported as Sat ("not proven unsat"). This subset property is what lets
-// the analysis engine prune a branch subtree without changing the validated
-// bug set: a cursor-UNSAT prefix extends only to paths whose full Table-3
-// constraint system the Stage-2 solver would also refute.
+// the Stage-2 batch screen (pathval/batch.go) drop every candidate below a
+// refuted shared prefix without changing the validated bug set: a
+// cursor-UNSAT prefix extends only to paths whose full Table-3 constraint
+// system the per-candidate solver would also refute.
 //
 // Propagation is batched and change-driven: each stored constraint caches
 // its canonicalized form plus the event counter it was last propagated at,
 // and recheck revisits only constraints whose variables' intervals (or the
 // union-find shape) changed since. A Push that adds nothing new costs a
 // handful of integer compares instead of a full re-propagation sweep —
-// which is what keeps the DFS's per-instruction asserts (one equality per
-// arithmetic definition) from turning each path into an O(atoms²) solve.
+// which is what keeps per-instruction asserts (one equality per arithmetic
+// definition) from turning each path into an O(atoms²) solve.
 // The skip rule is exact, not heuristic: interval propagation is a
 // deterministic monotone function of a constraint's canonical form and its
 // variables' current intervals, so re-running it with unchanged inputs is a
@@ -103,13 +104,6 @@ func NewCursor(ctx *Context) *Cursor {
 	}
 }
 
-// NumFacts reports how many facts the cursor currently holds (stored
-// constraints, merged classes, narrowed intervals). The engine's adaptive
-// laziness consults it: a cursor with no facts cannot refute anything.
-func (c *Cursor) NumFacts() int {
-	return len(c.ineqs) + len(c.diseqs) + len(c.parent) + len(c.ivs)
-}
-
 // Checkpoint returns a mark for Rollback.
 func (c *Cursor) Checkpoint() CursorMark { return CursorMark(len(c.trail)) }
 
@@ -161,7 +155,7 @@ func (c *Cursor) Rollback(mark CursorMark) {
 // Sat means "not proven unsat". Unsupported formula shapes (negations,
 // disjunctions) are dropped, which only weakens the conjunction and so is
 // conservative. The mutation stays on the trail either way: callers that
-// prune on Unsat roll back to their checkpoint.
+// abandon a refuted prefix roll back to their checkpoint.
 func (c *Cursor) Push(f Formula) Result {
 	c.Pushes++
 	c.pushF(f)

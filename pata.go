@@ -52,26 +52,6 @@ type Config struct {
 	// SkipValidation disables Stage 2 (possible bugs are reported
 	// unfiltered).
 	SkipValidation bool
-	// NoPrune disables the Stage-1 on-the-fly feasibility pruning
-	// (default on): without it, provably contradictory branch subtrees
-	// are explored and their candidates are left for Stage-2 validation
-	// to drop.
-	NoPrune bool
-	// NoMemo disables the Stage-1 (block, state) memoization (default
-	// on): without it, repeated identical basic-block configurations are
-	// re-explored.
-	NoMemo bool
-	// NoSummaries disables the Stage-1 interprocedural callee summaries
-	// (default on): without them, every call-site activation re-walks the
-	// callee even when a recorded activation with the same observable state
-	// could be replayed.
-	NoSummaries bool
-	// NoAdaptive disables the per-entry adaptive cost model (default on):
-	// without it, every entry runs the full configured layer stack even
-	// when the layers' bookkeeping demonstrably costs more than the
-	// exploration they save. Reports are identical either way; only
-	// wall-clock changes.
-	NoAdaptive bool
 	// MaxCallDepth bounds interprocedural inlining (default 8).
 	MaxCallDepth int
 	// MaxPathsPerEntry bounds path enumeration per entry function
@@ -237,10 +217,6 @@ func (c Config) engineConfig() (core.Config, error) {
 		MaxContinuationsPerCall: c.MaxContinuationsPerCall,
 		LoopUnroll:              c.LoopUnroll,
 		ValidateWorkers:         c.ValidateWorkers,
-		NoPrune:                 c.NoPrune,
-		NoMemo:                  c.NoMemo,
-		NoSummaries:             c.NoSummaries,
-		NoAdaptive:              c.NoAdaptive,
 		EntryTimeout:            c.EntryTimeout,
 		RunTimeout:              c.RunTimeout,
 		MaxRetries:              c.MaxRetries,
