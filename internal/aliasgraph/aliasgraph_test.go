@@ -2,6 +2,7 @@ package aliasgraph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -338,7 +339,7 @@ func TestVarNodeConsistencyProperty(t *testing.T) {
 			if n == nil {
 				continue
 			}
-			if _, ok := n.vars[v]; !ok {
+			if slices.Index(n.vars, v) < 0 {
 				return false
 			}
 		}
@@ -377,5 +378,38 @@ func TestDOTExport(t *testing.T) {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT missing %q:\n%s", want, dot)
 		}
+	}
+}
+
+// TestStepAllocatesNothing is the steady-state allocation guard of the
+// Stage-1 DFS step: once a graph is warm, checkpoint → every update rule →
+// rollback must not allocate, because rolled-back nodes are recycled and
+// classes and edges live in reused slices.
+func TestStepAllocatesNothing(t *testing.T) {
+	g := New()
+	p, q, v1, v2, v3, v4, v5 := reg("p"), reg("q"), reg("v1"), reg("v2"), reg("v3"), reg("v4"), reg("v5")
+	glob := &cir.Global{Name: "gl", Elem: cir.I64}
+	null := cir.NullConst(cir.PointerTo(cir.I64))
+	field, index := FieldLabel("f"), IndexLabel(cir.IntConst(cir.I64, 3), "s#1")
+	g.NodeOf(p)
+	g.NodeOf(glob)
+	step := func() {
+		m := g.Checkpoint()
+		g.Load(v1, p)
+		g.Store(p, v2)
+		g.Load(v3, p)
+		g.Store(q, null)
+		g.GEP(v4, p, field)
+		g.GEP(v5, v4, index)
+		g.Move(glob, v4)
+		g.MoveConst(v2, null)
+		g.Detach(v1)
+		g.Target(v3, DerefLabel)
+		g.Target(glob, field)
+		g.Rollback(m)
+	}
+	step()
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Errorf("a warm checkpoint/update/rollback step allocates %.1f times, want 0", n)
 	}
 }

@@ -334,6 +334,11 @@ func isTempName(n string) bool {
 }
 
 // replayer re-simulates a recorded path, building constraints.
+//
+// syms is keyed by alias-graph node. A node is valid only until the
+// rollback that undoes its creation, after which g recycles it for a later
+// node, so syms must drop the key in that same rollback: rollback does so
+// from symLog, and reset clears syms along with g.Reset.
 type replayer struct {
 	mode    core.Mode
 	g       *aliasgraph.Graph
@@ -380,10 +385,12 @@ type rmark struct {
 }
 
 // checkpoint snapshots the replayer so a later rollback restores it
-// exactly. Replay is deterministic in the step sequence, so rolling back
-// and applying a different suffix leaves the replayer in precisely the
-// state a fresh replay of prefix+suffix would produce — including variable
-// IDs, which both the alias graph and the term context rewind.
+// exactly. Both need logging on from the first step, or rollback would
+// leave syms keys for the alias-graph nodes it frees. Replay is
+// deterministic in the step sequence, so rolling back and applying a
+// different suffix leaves the replayer in precisely the state a fresh
+// replay of prefix+suffix would produce — including variable IDs, which
+// both the alias graph and the term context rewind.
 func (r *replayer) checkpoint() rmark {
 	return rmark{
 		g:       r.g.Checkpoint(),

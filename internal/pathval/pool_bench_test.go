@@ -54,17 +54,16 @@ func TestPooledReplayerDeterminism(t *testing.T) {
 // must stay under the budget below. The replay itself still allocates (every
 // smt.Var and atom is a fresh node by design — the term context hands out
 // pointer-identity vars), so the budget is not zero; what it guards against
-// is the pre-pooling behavior of rebuilding the replayer — graph, context,
-// four maps, every slice — per candidate, which costs hundreds of
-// allocations and ~3x the bytes more. Measured steady state is 92 allocs/op
-// (7.5KB) pooled vs 136 (23.5KB) fresh; 120 leaves headroom for
-// solver-internal variance while still failing on a regression to
-// per-candidate construction.
+// is rebuilding the replayer — graph, context, four maps, every slice — per
+// candidate, and alias-graph nodes that are allocated rather than recycled
+// from the reset graph's free list. Measured steady state is 22 allocs/op
+// (376 B) pooled vs 100 (16.1KB) fresh; 40 leaves headroom for
+// solver-internal variance while still failing on either regression.
 func TestPooledReplayerAllocBudget(t *testing.T) {
 	bug := poolCandidate(t)
 	v := New()
 	v.Validate(bug, core.ModePATA) // warm pool and verdict cache
-	const budget = 120
+	const budget = 40
 	if avg := testing.AllocsPerRun(100, func() { v.Validate(bug, core.ModePATA) }); avg > budget {
 		t.Errorf("pooled validation allocates %.1f/op in steady state, budget %d", avg, budget)
 	}

@@ -249,6 +249,13 @@ type Stats struct {
 
 // Tracker holds the per-alias-class states of all checkers, with trail-based
 // checkpoint/rollback mirroring the alias graph's.
+//
+// states, props and touched are keyed by alias-graph node, and a node is
+// valid only until the graph rollback that undoes its creation: the graph
+// then recycles it for a later node. The tracker must therefore roll back
+// in lockstep with the graph — checkpoint right after the graph, roll back
+// right before it — so every key naming a node created after a graph mark
+// is gone by the time the graph rolls back to that mark.
 type Tracker struct {
 	Checkers []Checker
 	states   map[objKey]State
