@@ -1,6 +1,7 @@
 package aliasgraph
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cir"
@@ -66,5 +67,52 @@ func BenchmarkAccessPaths(b *testing.B) {
 		if paths := g.AccessPaths(target, 3); len(paths) == 0 {
 			b.Fatal("no paths")
 		}
+	}
+}
+
+// BenchmarkWideNode measures the update rules on nodes wider than the
+// oscorpus corpora produce (DESIGN.md §5): "fields" does k field accesses on
+// one base object whose k out-edges already exist, "class" does k loads
+// through one pointer so k registers join a single alias class; each
+// iteration checkpoints, runs the k operations and rolls back.
+func BenchmarkWideNode(b *testing.B) {
+	for _, k := range []int{4, 16, 64, 256} {
+		base := &cir.Register{ID: 0, Name: "base", Typ: cir.PointerTo(cir.I64)}
+		dst := make([]cir.Value, k)
+		labels := make([]Label, k)
+		for j := range dst {
+			dst[j] = &cir.Register{ID: j + 1, Name: "d", Typ: cir.PointerTo(cir.I64)}
+			labels[j] = FieldLabel(fmt.Sprintf("f%d", j))
+		}
+		b.Run(fmt.Sprintf("fields/k=%d", k), func(b *testing.B) {
+			g := New()
+			for j := range labels {
+				g.Target(base, labels[j])
+				g.NodeOf(dst[j])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := g.Checkpoint()
+				for j := range dst {
+					g.GEP(dst[j], base, labels[j])
+				}
+				g.Rollback(m)
+			}
+		})
+		b.Run(fmt.Sprintf("class/k=%d", k), func(b *testing.B) {
+			g := New()
+			g.DerefNode(base)
+			for j := range dst {
+				g.NodeOf(dst[j])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m := g.Checkpoint()
+				for j := range dst {
+					g.Load(dst[j], base)
+				}
+				g.Rollback(m)
+			}
+		})
 	}
 }
