@@ -114,6 +114,20 @@ func BenchmarkFrontendLinuxCorpus(b *testing.B) {
 	}
 }
 
+// BenchmarkFrontendScanLinux measures the frontend on the scan-linux corpus
+// (linux-like ×12: 240 files, ≈52K lines), which is large enough for the
+// concurrent parse to show; the ×1 corpus above takes under 20 ms.
+func BenchmarkFrontendScanLinux(b *testing.B) {
+	c := oscorpus.Generate(oscorpus.Scaled(oscorpus.LinuxSpec(), 12))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := minicc.LowerAll(c.Spec.Name, c.Sources); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStage1LinuxCorpus measures Stage 1 alone (path-sensitive alias +
 // typestate analysis, no validation) on the linux-like corpus.
 func BenchmarkStage1LinuxCorpus(b *testing.B) {

@@ -16,13 +16,14 @@ import (
 // It returns all violations joined into one error, or nil.
 func Verify(m *Module) error {
 	var errs []error
+	var defs defTable
 	for _, fn := range m.SortedFuncs() {
 		if fn.IsDecl() {
 			continue
 		}
-		defs := make(map[*Register]Instr)
+		defs.reset()
 		for _, p := range fn.Params {
-			defs[p] = nil
+			defs.define(p)
 		}
 		for _, blk := range fn.Blocks {
 			if len(blk.Instrs) == 0 {
@@ -35,10 +36,10 @@ func Verify(m *Module) error {
 					errs = append(errs, fmt.Errorf("%s/%s: instruction %d (%s): terminator placement", fn.Name, blk.Name, idx, in))
 				}
 				if d := in.Dest(); d != nil {
-					if _, dup := defs[d]; dup {
+					if defs.defined(d) {
 						errs = append(errs, fmt.Errorf("%s: register %s defined more than once", fn.Name, d))
 					}
-					defs[d] = in
+					defs.define(d)
 					if d.Def != in {
 						errs = append(errs, fmt.Errorf("%s: register %s Def link broken at %s", fn.Name, d, in))
 					}
@@ -79,7 +80,7 @@ func Verify(m *Module) error {
 					if !ok {
 						continue
 					}
-					if _, defined := defs[r]; !defined {
+					if !defs.defined(r) {
 						errs = append(errs, fmt.Errorf("%s: use of undefined register %s in %s", fn.Name, r, in))
 					}
 				}
@@ -87,4 +88,36 @@ func Verify(m *Module) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// defTable records the registers one function defines, indexed by
+// Register.ID. A register counts as defined only if its own pointer is in its
+// slot, so a register of another function with the same ID never passes for
+// a defined one. One table serves every function of a module; reset clears
+// the slots the last function used.
+type defTable struct {
+	regs []*Register
+	hi   int // one past the highest slot set since reset
+}
+
+func (t *defTable) reset() {
+	clear(t.regs[:t.hi])
+	t.hi = 0
+}
+
+// define records r. A negative ID has no slot, so such a register is never
+// defined.
+func (t *defTable) define(r *Register) {
+	if r.ID < 0 {
+		return
+	}
+	if r.ID >= len(t.regs) {
+		t.regs = append(t.regs, make([]*Register, r.ID+1-len(t.regs))...)
+	}
+	t.regs[r.ID] = r
+	t.hi = max(t.hi, r.ID+1)
+}
+
+func (t *defTable) defined(r *Register) bool {
+	return uint(r.ID) < uint(len(t.regs)) && t.regs[r.ID] == r
 }

@@ -1,6 +1,7 @@
 package minicc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,9 @@ import (
 // (which runs the preprocessor, lexer, and parser) must return an error for
 // malformed input, never panic or hang. Lowering the successfully parsed
 // mutants additionally exercises the AST→CIR path on shapes no hand-written
-// test would produce.
+// test would produce. The input is also split into two or three files, which
+// LowerAll must lower exactly as the sequential reference does, error
+// included.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -34,6 +37,7 @@ func FuzzParse(f *testing.F) {
 			// engine's job, not the lexer's.
 			t.Skip()
 		}
+		sameLowering(t, splitFiles(src))
 		file, err := Parse("fuzz.c", src)
 		if err != nil || file == nil {
 			return
@@ -42,4 +46,14 @@ func FuzzParse(f *testing.F) {
 		mod, _ := LowerAll("fuzz", map[string]string{"fuzz.c": src})
 		_ = mod
 	})
+}
+
+// splitFiles cuts src into two or three files of about equal size.
+func splitFiles(src string) map[string]string {
+	n := 2 + len(src)%2
+	files := make(map[string]string, n)
+	for i := range n {
+		files[fmt.Sprintf("f%d.c", i)] = src[i*len(src)/n : (i+1)*len(src)/n]
+	}
+	return files
 }

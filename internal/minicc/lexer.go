@@ -119,6 +119,15 @@ var punctuators = []string{
 	"(", ")", "{", "}", "[", "]", ",", ";", ":", ".", "?",
 }
 
+// punctByFirst lists the punctuators starting with each byte, longest first,
+// so Next tries at most four candidates instead of scanning all of them.
+var punctByFirst = func() (t [256][]string) {
+	for _, p := range punctuators {
+		t[p[0]] = append(t[p[0]], p)
+	}
+	return t
+}()
+
 // Next returns the next token.
 func (lx *Lexer) Next() Token {
 	lx.skipTrivia()
@@ -201,11 +210,11 @@ func (lx *Lexer) Next() Token {
 	}
 
 	rest := lx.src[lx.pos:]
-	for _, p := range punctuators {
+	for _, p := range punctByFirst[c] {
 		if strings.HasPrefix(rest, p) {
-			for range p {
-				lx.advance()
-			}
+			// Punctuators never contain a newline.
+			lx.pos += len(p)
+			lx.col += len(p)
 			return Token{Kind: PUNCT, Text: p, Line: line, Col: col}
 		}
 	}
@@ -263,17 +272,12 @@ func escapeVal(c byte) int64 {
 	return int64(c)
 }
 
-// minBytesPerToken sizes Tokenize's token slice up front. The oscorpus
-// corpora average 3.5–4.0 source bytes per token, and no file goes below
-// 3.28, so len(src)/3 tokens fit every file in one allocation and
-// over-reserve by at most ≈45%. Growing from empty instead copies the
-// 48-byte tokens through every doubling.
-const minBytesPerToken = 3
-
-// Tokenize returns all tokens of src, ending with EOF.
+// Tokenize returns all tokens of src, ending with EOF. The parser pulls
+// tokens from a Lexer one at a time; Tokenize serves tests and tools that
+// want the whole stream.
 func Tokenize(file, src string) ([]Token, []error) {
 	lx := NewLexer(file, src)
-	toks := make([]Token, 0, len(src)/minBytesPerToken+1)
+	var toks []Token
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

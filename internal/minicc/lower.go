@@ -2,6 +2,10 @@ package minicc
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cir"
 )
@@ -31,16 +35,26 @@ func LowerFile(mod *cir.Module, f *File) error {
 
 // LowerAll lowers a set of sources (file name → text) into one module and
 // assigns instruction IDs.
+//
+// Files are parsed concurrently but lowered one at a time in sorted-name
+// order, so the module and the first error are exactly those of lowering the
+// files sequentially. The order matters: a call lowered before its callee's
+// file is declared takes the implicit i64 result type.
 func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
 	mod := cir.NewModule(name)
-	// Deterministic file order.
 	names := make([]string, 0, len(sources))
 	for n := range sources {
 		names = append(names, n)
 	}
-	sortStrings(names)
-	for _, n := range names {
-		if err := Lower(mod, n, sources[n]); err != nil {
+	slices.Sort(names)
+	ps := startParsers(names, sources)
+	defer ps.stop()
+	for i := range names {
+		f, err := ps.take(i)
+		if err != nil {
+			return mod, err
+		}
+		if err := LowerFile(mod, f); err != nil {
 			return mod, err
 		}
 	}
@@ -51,12 +65,99 @@ func LowerAll(name string, sources map[string]string) (*cir.Module, error) {
 	return mod, nil
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// parseAhead is how many files per worker the parsers may run ahead of the
+// lowering cursor: enough to keep every worker busy while the caller lowers,
+// few enough that only O(workers) ASTs are alive at once.
+const parseAhead = 2
+
+// parseSource is Parse; tests replace it to make a worker panic.
+var parseSource = Parse
+
+// parsers runs Parse over a list of files on min(GOMAXPROCS, files) worker
+// goroutines, taking files in list order and holding each result until the
+// caller takes it.
+type parsers struct {
+	names, srcs []string
+	slots       []parseSlot
+	next        atomic.Int64  // index of the next file a worker starts
+	credits     chan struct{} // one per file a worker may start before it is taken
+	quit        chan struct{}
+	wg          sync.WaitGroup
+}
+
+type parseSlot struct {
+	file  *File
+	err   error
+	panic any // the value a panicking Parse raised
+	done  chan struct{}
+}
+
+func startParsers(names []string, sources map[string]string) *parsers {
+	workers := min(runtime.GOMAXPROCS(0), len(names))
+	ps := &parsers{
+		names:   names,
+		srcs:    make([]string, len(names)),
+		slots:   make([]parseSlot, len(names)),
+		credits: make(chan struct{}, min(parseAhead*workers, len(names))),
+		quit:    make(chan struct{}),
 	}
+	for i, n := range names {
+		ps.srcs[i] = sources[n]
+		ps.slots[i].done = make(chan struct{})
+	}
+	for range cap(ps.credits) {
+		ps.credits <- struct{}{}
+	}
+	ps.wg.Add(workers)
+	for range workers {
+		go ps.work()
+	}
+	return ps
+}
+
+func (ps *parsers) work() {
+	defer ps.wg.Done()
+	for {
+		select {
+		case <-ps.credits:
+		case <-ps.quit:
+			return
+		}
+		i := int(ps.next.Add(1)) - 1
+		if i >= len(ps.slots) {
+			return
+		}
+		ps.slots[i].parse(ps.names[i], ps.srcs[i])
+	}
+}
+
+func (s *parseSlot) parse(name, src string) {
+	defer close(s.done)
+	defer func() { s.panic = recover() }()
+	s.file, s.err = parseSource(name, src)
+}
+
+// take waits for file i, releases the parsers' hold on its AST and lets a
+// worker start one more file. A panic in Parse is re-raised here, on the
+// caller's goroutine, where the callers' recover fences can catch it.
+func (ps *parsers) take(i int) (*File, error) {
+	s := &ps.slots[i]
+	<-s.done
+	if s.panic != nil {
+		panic(s.panic)
+	}
+	f, err := s.file, s.err
+	s.file = nil
+	ps.credits <- struct{}{}
+	return f, err
+}
+
+// stop makes the workers exit after the file each is parsing and waits for
+// them.
+func (ps *parsers) stop() {
+	ps.next.Store(int64(len(ps.slots))) // a worker holding a credit finds no file left
+	close(ps.quit)
+	ps.wg.Wait()
 }
 
 type lowerer struct {

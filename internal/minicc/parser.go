@@ -6,46 +6,90 @@ import (
 )
 
 // Parser builds an AST from tokens. It is a conventional recursive-descent
-// parser with precedence climbing for binary operators.
+// parser with precedence climbing for binary operators. Tokens are pulled
+// from the Lexer on demand into a small look-ahead ring, so a file's tokens
+// are never all in memory at once.
 type Parser struct {
 	file     string
-	toks     []Token
-	pos      int
-	errs     []error
+	lx       *Lexer
+	ring     []Token // look-ahead window; len is a power of two
+	head     int     // ring index of the current token
+	n        int     // tokens buffered from head on
+	consumed int     // tokens consumed so far, for the no-progress checks
+	errs     []error // parse errors; lexical errors stay in lx
 	typedefs map[string]TypeExpr
 }
 
 // Parse parses one mini-C translation unit. The source is macro-expanded
 // first (see Preprocess); line numbers are preserved.
 func Parse(file, src string) (*File, error) {
-	toks, lexErrs := Tokenize(file, Preprocess(src))
-	p := &Parser{file: file, toks: toks, typedefs: make(map[string]TypeExpr)}
-	p.errs = append(p.errs, lexErrs...)
+	p := &Parser{
+		file:     file,
+		lx:       NewLexer(file, Preprocess(src)),
+		ring:     make([]Token, 8),
+		typedefs: make(map[string]TypeExpr),
+	}
 	f := p.parseFile()
 	f.Lines = strings.Count(src, "\n") + 1
+	// parseFile returns only at EOF, so the lexer has seen the whole file and
+	// its errors, which precede every parse error, are all known.
+	if errs := p.lx.Errors(); len(errs) > 0 {
+		return f, errs[0]
+	}
 	if len(p.errs) > 0 {
 		return f, p.errs[0]
 	}
 	return f, nil
 }
 
-func (p *Parser) cur() Token { return p.toks[p.pos] }
+// cur returns the current token in place; it stays valid until the parser
+// lexes further ahead.
+func (p *Parser) cur() *Token {
+	if p.n == 0 {
+		p.fill(0)
+	}
+	return &p.ring[p.head]
+}
+
+// peekN returns the token n positions past the current one in place. Past
+// the end it returns EOF, which the lexer repeats.
+func (p *Parser) peekN(n int) *Token {
+	if p.n <= n {
+		p.fill(n)
+	}
+	return &p.ring[(p.head+n)&(len(p.ring)-1)]
+}
+
+// fill lexes until the window holds n+1 tokens, doubling the ring if full.
+func (p *Parser) fill(n int) {
+	for p.n <= n {
+		if p.n == len(p.ring) {
+			ring := make([]Token, 2*len(p.ring))
+			for i := range p.n {
+				ring[i] = p.ring[(p.head+i)&(len(p.ring)-1)]
+			}
+			p.ring, p.head = ring, 0
+		}
+		p.ring[(p.head+p.n)&(len(p.ring)-1)] = p.lx.Next()
+		p.n++
+	}
+}
+
+// next consumes and returns the current token; EOF is never consumed.
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
+	t := *p.cur()
 	if t.Kind != EOF {
-		p.pos++
+		p.head = (p.head + 1) & (len(p.ring) - 1)
+		p.n--
+		p.consumed++
 	}
 	return t
 }
 
-func (p *Parser) peekN(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos+n]
+func (p *Parser) at(text string) bool {
+	t := p.cur()
+	return t.Text == text && t.Kind != STRING
 }
-
-func (p *Parser) at(text string) bool { return p.cur().Text == text && p.cur().Kind != STRING }
 
 func (p *Parser) accept(text string) bool {
 	if p.at(text) {
@@ -60,16 +104,14 @@ func (p *Parser) expect(text string) Token {
 		return p.next()
 	}
 	p.errorf("expected %q, found %s", text, p.cur())
-	return p.cur()
+	return *p.cur()
 }
 
 func (p *Parser) errorf(format string, args ...any) {
 	t := p.cur()
 	p.errs = append(p.errs, &Error{File: p.file, Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)})
 	// Simple recovery: skip the offending token so parsing can continue.
-	if t.Kind != EOF {
-		p.pos++
-	}
+	p.next()
 }
 
 func (p *Parser) position() Position {
@@ -151,7 +193,7 @@ func (p *Parser) parseTypePrefix() TypeExpr {
 func (p *Parser) parseFile() *File {
 	f := &File{Name: p.file}
 	for p.cur().Kind != EOF {
-		start := p.pos
+		start := p.consumed
 		switch {
 		case p.at("typedef"):
 			p.parseTypedef(f)
@@ -166,7 +208,7 @@ func (p *Parser) parseFile() *File {
 				p.syncTopLevel()
 			}
 		}
-		if p.pos == start { // no progress: skip a token to avoid livelock
+		if p.consumed == start { // no progress: skip a token to avoid livelock
 			p.next()
 		}
 	}
@@ -440,9 +482,9 @@ func (p *Parser) parseBlock() *BlockStmt {
 	p.expect("{")
 	b := &BlockStmt{Pos: pos}
 	for !p.at("}") && p.cur().Kind != EOF {
-		start := p.pos
+		start := p.consumed
 		b.Stmts = append(b.Stmts, p.parseStmt())
-		if p.pos == start {
+		if p.consumed == start {
 			p.next()
 		}
 	}
@@ -767,7 +809,7 @@ func (p *Parser) parsePostfix() Expr {
 
 func (p *Parser) parsePrimary() Expr {
 	pos := p.position()
-	t := p.cur()
+	t := *p.cur()
 	switch {
 	case t.Kind == INT:
 		p.next()
